@@ -98,6 +98,36 @@ python scripts/check_trace_schema.py "$fleet1"
 echo "OK: fleet SLO report is byte-identical across runs" \
      "($(wc -c < "$fleet1") bytes)"
 
+# The prefill memo and the shared chunk-graph registry are process-wide,
+# so a warm process must print what a cold one prints: build the fleet
+# report twice in one interpreter, the second time over the memo the
+# first one filled, and compare both with the fresh-process report.
+warm1=$(mktemp)
+warm2=$(mktemp)
+trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
+     "$fleet1" "$fleet2" "$warm1" "$warm2"' EXIT
+
+python -c 'import sys
+from repro.core.pipeline import prefill_memo_stats, reset_prefill_memo_stats
+from repro.eval import fleet_golden_json
+misses = []
+for path in sys.argv[1:]:
+    reset_prefill_memo_stats()
+    with open(path, "w") as f:
+        print(fleet_golden_json(seed=42), file=f)
+    misses.append(prefill_memo_stats()["misses"])
+assert misses[1] < misses[0], f"second run was not warm: misses {misses}"
+' "$warm1" "$warm2"
+for warm in "$warm1" "$warm2"; do
+    if ! cmp -s "$fleet1" "$warm"; then
+        echo "FAIL: fleet report from a warm prefill memo differs from" \
+             "a fresh process" >&2
+        exit 1
+    fi
+done
+echo "OK: fleet SLO report is byte-identical with a cold and a warm" \
+     "prefill memo"
+
 # Step-loop equivalence: the degenerate batching config (unbounded
 # batch, concurrency 1) must route through the per-request path and
 # reproduce the golden snapshot, trace, and profile byte-for-byte —
@@ -127,7 +157,7 @@ seq1=$(mktemp)
 seq2=$(mktemp)
 seq3=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3"' EXIT
+     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3"' EXIT
 
 seq_snapshot > "$seq1"
 if ! diff -u "$out1" "$seq1"; then
@@ -187,8 +217,8 @@ steps1=$(mktemp)
 steps2=$(mktemp)
 noop1=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1"' EXIT
+     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$steps1" "$steps2" "$noop1"' EXIT
 
 steplog > "$steps1"
 steplog > "$steps2"
@@ -226,8 +256,8 @@ echo "OK: golden snapshot is unchanged with step logging attached" \
 par1=$(mktemp)
 par2=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1" "$par1" "$par2"' EXIT
+     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$steps1" "$steps2" "$noop1" "$par1" "$par2"' EXIT
 
 python -c 'from repro.eval import fleet_golden_json
 print(fleet_golden_json(seed=42, workers=4))' > "$par1"
@@ -265,8 +295,8 @@ print(golden_critpath_json(seed=42))'
 cp1=$(mktemp)
 cp2=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1" "$par1" "$par2" "$cp1" "$cp2"' EXIT
+     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$steps1" "$steps2" "$noop1" "$par1" "$par2" "$cp1" "$cp2"' EXIT
 
 critpath > "$cp1"
 critpath > "$cp2"
@@ -334,8 +364,9 @@ print(golden_diff_json())'
 diff1=$(mktemp)
 diff2=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$seq1" "$seq2" "$seq3" "$steps1" "$steps2" \
-     "$noop1" "$par1" "$par2" "$cp1" "$cp2" "$diff1" "$diff2"' EXIT
+     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$steps1" "$steps2" "$noop1" "$par1" "$par2" "$cp1" "$cp2" \
+     "$diff1" "$diff2"' EXIT
 
 diffpair > "$diff1"
 diffpair > "$diff2"

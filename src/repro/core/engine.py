@@ -22,12 +22,11 @@ from typing import Dict, Optional, Union
 
 from repro.core.decode import DecodeOptions, decode_latency_s
 from repro.core.hot_channels import HotChannelPolicy, shadow_weight_bytes
-from repro.core.pipeline import run_prefill
+from repro.core.pipeline import prepare_graph, run_prefill
 from repro.core.residency import NpuResidencyPlan, plan_npu_residency
 from repro.core.results import InferenceReport, PrefillReport
 from repro.errors import EngineError
 from repro.graph.builder import BuildOptions, GraphBuilder, ShadowProfile
-from repro.graph.chunk import ChunkSharingGraph
 from repro.graph.memory_plan import plan_chunk_sharing
 from repro.hw.sim import FaultInjector
 from repro.hw.soc import SocSpec, get_device
@@ -109,22 +108,33 @@ class LlmNpuEngine:
         self._trace_clock_s = 0.0
         cfg = self.config
 
-        self.build_options = BuildOptions(
+        self.shadow_profiles = self._make_shadow_profiles()
+        self._prepare(BuildOptions(
             float_backend=cfg.float_backend,
             per_group=(cfg.quant_mode == "per-group"),
             group_size=cfg.group_size,
             equivalent_shapes=cfg.equivalent_shapes,
-        )
-        self.builder = GraphBuilder(model, device, self.build_options)
-        self.shadow_profiles = self._make_shadow_profiles()
-        max_chunks = min(cfg.max_chunks,
-                         max(1, model.max_context // cfg.chunk_len))
-        self.graph = ChunkSharingGraph(
-            self.builder, cfg.chunk_len, max_chunks,
-            self.shadow_profiles if cfg.quant_mode == "shadow" else None,
-        )
+        ))
 
     # -- construction helpers -------------------------------------------------
+
+    def _prepare(self, build_options: BuildOptions) -> None:
+        """Bind the engine to the shared prepared graph for
+        ``build_options`` (:func:`~repro.core.pipeline.prepare_graph`).
+
+        ``builder`` stays per engine: the non-chunking path builds
+        prompt-sized plans on it, and a service mirrors its cache
+        counters into its own metrics registry.
+        """
+        cfg = self.config
+        self.build_options = build_options
+        self.builder = GraphBuilder(self.model, self.device, build_options)
+        self._prepared = prepare_graph(
+            self.model, self.device, build_options, cfg.chunk_len,
+            cfg.max_chunks,
+            self.shadow_profiles if cfg.quant_mode == "shadow" else None,
+        )
+        self.graph = self._prepared.graph
 
     @classmethod
     def build(cls, model: Union[str, ModelConfig],
@@ -202,24 +212,26 @@ class LlmNpuEngine:
         cfg = self.config
         include_shadow = cfg.quant_mode == "shadow"
         if cfg.chunking:
-            plans = self.graph.plans_for_prompt(prompt_tokens,
-                                                cached_tokens)
-            extra = 0.0
-        else:
-            # Fig. 7(a): one monolithic prompt graph, re-built and
-            # re-optimized for this prompt length (the naive NPU baseline).
-            rows = max(32, prompt_tokens)
-            plans = [self.builder.build_chunk(
-                0, rows,
-                self.shadow_profiles if include_shadow else None,
-            )]
-            extra = self.graph.naive_per_prompt_preparation_s()
+            return self._prepared.prefill(
+                prompt_tokens, cached_tokens,
+                float_backend=cfg.float_backend,
+                policy=cfg.policy,
+                include_shadow=include_shadow,
+                shadow_backend=cfg.shadow_backend,
+            )
+        # Fig. 7(a): one monolithic prompt graph, re-built and
+        # re-optimized for this prompt length (the naive NPU baseline).
+        rows = max(32, prompt_tokens)
+        plans = [self.builder.build_chunk(
+            0, rows,
+            self.shadow_profiles if include_shadow else None,
+        )]
         return run_prefill(
             plans, self.device, prompt_tokens,
             float_backend=cfg.float_backend,
             policy=cfg.policy,
             include_shadow=include_shadow,
-            extra_latency_s=extra,
+            extra_latency_s=self.graph.naive_per_prompt_preparation_s(),
             shadow_backend=cfg.shadow_backend,
         )
 
@@ -260,7 +272,9 @@ class LlmNpuEngine:
         decode_s = self.decode(total_context, output_tokens)
 
         energy_model = self.device.energy_model()
-        busy = dict(prefill.trace.busy_by_processor()) if prefill.trace else {}
+        prefill_busy = (prefill.trace.busy_by_processor()
+                        if prefill.trace else {})
+        busy = dict(prefill_busy)
         # During prefill the float backend plays a helper role (attention
         # GEMMs / shadow MatMuls / syncs: bandwidth-bound, few cores) and
         # draws a fraction of all-lanes power; decode runs the all-cores
@@ -276,8 +290,6 @@ class LlmNpuEngine:
         makespan = prefill.latency_s + decode_s
         energy = energy_model.energy(busy, makespan, helper_seconds=helper)
 
-        prefill_busy = (prefill.trace.busy_by_processor()
-                        if prefill.trace else {})
         prefill_energy = energy_model.energy(
             prefill_busy, prefill.latency_s,
             helper_seconds={

@@ -368,6 +368,27 @@ class GraphBuilder:
                                           list(subgraphs), dict(shadows))
         return ChunkPlan(chunk_index, chunk_len, kv_len, subgraphs, shadows)
 
+    def share_chunk(self, base: ChunkPlan, chunk_index: int) -> ChunkPlan:
+        """The plan for chunk ``chunk_index`` built on ``base`` (§3.2).
+
+        Only attention depends on the chunk index (through its KV
+        length), so only the attention subgraphs are built; the static
+        subgraphs and the shadow specs are ``base``'s own objects.  The
+        result equals ``build_chunk(chunk_index, base.chunk_len, ...)``
+        with ``base``'s shadow profiles, field for field.
+        """
+        if chunk_index < 0:
+            raise GraphError(f"invalid chunk index {chunk_index}")
+        rows = base.chunk_len
+        kv_len = (chunk_index + 1) * rows
+        subgraphs = [
+            self._attention(sg.layer, rows, kv_len)
+            if sg.position == SG_ATTN else sg
+            for sg in base.subgraphs
+        ]
+        return ChunkPlan(chunk_index, rows, kv_len, subgraphs,
+                         dict(base.shadows))
+
     def npu_ops_per_block(self) -> int:
         """NPU-visible op count per block, for graph lifecycle costs."""
         plan = self.build_chunk(0, 32)

@@ -103,7 +103,8 @@ class ChunkSharingGraph:
 
     ``max_chunks`` bounds the supported prompt length
     (``max_chunks * chunk_len`` tokens); dynamic attention subgraphs exist
-    per chunk position, static subgraphs exist once.
+    per chunk position, static subgraphs exist once: every chunk plan
+    holds the same static subgraph and shadow spec objects.
     """
 
     def __init__(self, builder: GraphBuilder, chunk_len: int,
@@ -115,9 +116,9 @@ class ChunkSharingGraph:
         self.chunk_len = chunk_len
         self.max_chunks = max_chunks
         self.shadow_profiles = shadow_profiles
-        self._plans: List[ChunkPlan] = [
-            builder.build_chunk(i, chunk_len, shadow_profiles)
-            for i in range(max_chunks)
+        base = builder.build_chunk(0, chunk_len, shadow_profiles)
+        self._plans: List[ChunkPlan] = [base] + [
+            builder.share_chunk(base, i) for i in range(1, max_chunks)
         ]
 
     def plan_for_chunk(self, chunk_index: int) -> ChunkPlan:

@@ -457,22 +457,15 @@ def resimulate(run: CapturedRun,
 
 def engine_with_dma(engine, dma):
     """A fresh engine identical to ``engine`` but built with an explicit
-    :class:`~repro.hw.dma.DmaConfig` weight-streaming model."""
+    :class:`~repro.hw.dma.DmaConfig` weight-streaming model.
+
+    The clone binds to the prepared graph of the DMA-bearing build
+    options, so it shares neither plans nor prefill memo with
+    ``engine``."""
     from repro.core.engine import LlmNpuEngine
-    from repro.graph.builder import GraphBuilder
-    from repro.graph.chunk import ChunkSharingGraph
 
     clone = LlmNpuEngine(engine.model, engine.device, engine.config)
-    clone.build_options = replace(clone.build_options, dma=dma)
-    clone.builder = GraphBuilder(engine.model, engine.device,
-                                 clone.build_options)
-    cfg = clone.config
-    max_chunks = min(cfg.max_chunks,
-                     max(1, engine.model.max_context // cfg.chunk_len))
-    clone.graph = ChunkSharingGraph(
-        clone.builder, cfg.chunk_len, max_chunks,
-        clone.shadow_profiles if cfg.quant_mode == "shadow" else None,
-    )
+    clone._prepare(replace(engine.build_options, dma=dma))
     return clone
 
 
