@@ -41,7 +41,7 @@ def test_dma_ablation(once):
     table = once(dma_ablation, prompt_len=512)
     show_and_archive(table, "dma_ablation.txt")
 
-    # the what-if replay reproduces every rebuilt-engine measurement to
+    # the what-if prediction reproduces every rebuilt-engine measurement to
     # well under a nanosecond — the estimator's calibration contract
     assert all(err < 1.0 for err in table.column("|error| ns"))
     measured = dict(zip((r[0] for r in table.rows),

@@ -309,9 +309,10 @@ python scripts/check_trace_schema.py "$cp1"
 echo "OK: golden critical-path document is byte-identical across runs" \
      "($(wc -c < "$cp1") bytes)"
 
-# The what-if estimator's replay loop must agree with the simulator it
-# models: predicted TTFT/e2e for representative perturbations of the
-# reference engine run match a real re-simulation within 1e-9 s.
+# The what-if estimator's predictions (from Simulator) must agree with
+# the independent ReferenceSimulator: predicted TTFT/e2e/ITL for
+# representative perturbations of the reference engine run match a
+# re-simulation on the reference loop within 1e-9 s.
 python -c '
 from repro.obs import (WHATIF_TOL_S, OperatorSpeedup, ProcessorReassign,
                        capture_engine_run, predict, resimulate)
@@ -330,7 +331,7 @@ for perts in ([OperatorSpeedup("sg1", 2.0)],
                       ("itl", pred.predicted.itl_s, actual.itl_s)):
         err = abs(a - b)
         assert err <= WHATIF_TOL_S, (key, perts, err)
-print("OK: what-if predictions match re-simulation within",
+print("OK: what-if predictions match the reference simulator within",
       WHATIF_TOL_S, "s on 3 perturbation sets")
 '
 

@@ -766,9 +766,9 @@ def cmd_critpath(args) -> int:
 
 
 def cmd_whatif(args) -> int:
-    """Counterfactual latency estimation: replay the captured task DAG
+    """Counterfactual latency estimation: simulate the captured task DAG
     with perturbed latencies and report predicted TTFT/ITL/e2e deltas,
-    optionally verified against a ground-truth re-simulation."""
+    optionally verified against the reference simulator."""
     from repro.core import LlmNpuEngine
     from repro.errors import ReproError
     from repro.eval.report import Table
@@ -1078,8 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     whatif = sub.add_parser(
         "whatif",
-        help="counterfactual latency: replay the captured task DAG with "
-             "perturbed latencies; predicted TTFT/ITL/e2e deltas",
+        help="counterfactual latency: simulate the captured task DAG "
+             "with perturbed latencies; predicted TTFT/ITL/e2e deltas",
     )
     whatif.add_argument("--model", default="Qwen1.5-1.8B")
     whatif.add_argument("--device", default="Redmi K70 Pro")
@@ -1097,8 +1097,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "N-buffer DMA pool")
     whatif.add_argument("--verify", action="store_true",
                         help="cross-check the prediction against a "
-                             "ground-truth re-simulation (exits 1 if "
-                             "beyond tolerance)")
+                             "re-simulation on the reference simulator "
+                             "(exits 1 if beyond tolerance)")
     whatif.set_defaults(func=cmd_whatif)
     return parser
 

@@ -21,7 +21,7 @@ from repro.core.scheduler import get_policy
 from repro.errors import EngineError
 from repro.graph.builder import BuildOptions, ChunkPlan, GraphBuilder
 from repro.graph.chunk import ChunkSharingGraph, padded_tokens
-from repro.hw.sim import SchedulingPolicy, Simulator
+from repro.hw.sim import SchedulingPolicy, Simulator, Task
 from repro.hw.soc import SocSpec
 from repro.hw.trace import Trace, TraceEvent
 from repro.core.results import PrefillReport
@@ -39,6 +39,24 @@ def _padding(prompt_tokens: int, plans: List[ChunkPlan]) -> int:
     if len(plans) * chunk_len < prompt_tokens:
         return 0
     return padded_tokens(prompt_tokens, chunk_len)
+
+
+def lower_prefill(
+    plans: List[ChunkPlan],
+    float_backend: str,
+    include_shadow: bool,
+    shadow_backend: Optional[str],
+) -> Tuple[List[str], List[Task]]:
+    """The processors, in dispatch order, and the task DAG one prefill
+    of ``plans`` schedules."""
+    tasks = build_task_graph(plans, float_proc=float_backend,
+                             include_shadow=include_shadow,
+                             shadow_proc=shadow_backend)
+    processors = ["npu"]
+    for proc in (float_backend, shadow_backend):
+        if proc and proc not in processors:
+            processors.append(proc)
+    return processors, tasks
 
 
 def run_prefill(
@@ -61,13 +79,8 @@ def run_prefill(
         raise EngineError("run_prefill needs at least one chunk plan")
     if prompt_tokens <= 0:
         raise EngineError(f"prompt_tokens must be positive, got {prompt_tokens}")
-    tasks = build_task_graph(plans, float_proc=float_backend,
-                             include_shadow=include_shadow,
-                             shadow_proc=shadow_backend)
-    processors = ["npu"]
-    for proc in (float_backend, shadow_backend):
-        if proc and proc not in processors:
-            processors.append(proc)
+    processors, tasks = lower_prefill(plans, float_backend, include_shadow,
+                                      shadow_backend)
     simulator = Simulator(processors)
     scheduling = policy if isinstance(policy, SchedulingPolicy) else get_policy(policy)
     trace = simulator.run(tasks, scheduling)

@@ -148,7 +148,7 @@ def dma_ablation(
 
     For each depth the engine is *actually rebuilt* with the explicit
     :class:`~repro.hw.dma.DmaConfig` streaming model and re-measured;
-    the what-if estimator predicts the same point by replaying the
+    the what-if estimator predicts the same point by simulating the
     baseline DAG with the id-matched duration deltas.  The two columns
     agreeing (|error| well under a nanosecond) is the calibration
     check — the estimator earns the right to answer questions we did

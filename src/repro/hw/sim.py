@@ -508,7 +508,9 @@ class ReferenceSimulator(Simulator):
     benchmark (``benchmarks/bench_sim_speed.py``) measures
     :class:`Simulator` against this on identical task graphs, and the
     equivalence tests require identical traces — so the fast paths can
-    never silently drift from the specified schedule.
+    never silently drift from the specified schedule.  It is also the
+    ground truth :func:`repro.obs.whatif.resimulate` checks the what-if
+    estimator's ``Simulator``-based predictions against.
     """
 
     def run(self, tasks: List[Task],

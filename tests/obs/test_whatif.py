@@ -1,14 +1,16 @@
-"""What-if estimator: capture fidelity and replay-vs-simulator agreement.
+"""What-if estimator: capture fidelity and simulator-vs-oracle agreement.
 
 The contract the module advertises: for every perturbation class
-(operator speedup, processor reassignment, DMA overlap), the
-independent replay's predicted TTFT/ITL/e2e match an actual
-re-simulation of the perturbed DAG within 1e-9 s — and the unperturbed
-replay reproduces the engine's own reported latencies.
+(operator speedup, processor reassignment, DMA overlap) and every
+scheduling policy, the TTFT/ITL/e2e that :func:`predict` reads off
+``Simulator`` match a re-simulation of the perturbed DAG on the
+independent ``ReferenceSimulator`` within 1e-9 s — and the unperturbed
+prediction reproduces the engine's own reported latencies.
 """
 
 import pytest
 
+from repro.cli import main
 from repro.core import LlmNpuEngine
 from repro.hw.dma import DmaConfig
 from repro.hw.sim import Task
@@ -22,7 +24,6 @@ from repro.obs import (
     dma_overlap_perturbation,
     predict,
     reassign_from_spec,
-    replay_schedule,
     resimulate,
     speedup_from_spec,
 )
@@ -97,6 +98,32 @@ class TestPerturbationClasses:
         assert report.predicted.ttft_s == report.baseline.ttft_s
 
 
+POLICIES = ("ooo", "ooo-normalized", "in-order", "chunk-order", "fifo",
+            "latency-greedy")
+
+
+class TestEveryPolicy:
+    """``fifo`` takes the simulator's FIFO fast path, the other five its
+    generic loop; the reference simulator has one loop for all six."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_all_perturbation_classes_agree(self, policy):
+        engine = LlmNpuEngine.build("Qwen1.5-1.8B", "Redmi K70 Pro",
+                                    policy=policy)
+        run = capture_engine_run(engine, 512, output_tokens=4)
+        assert run.policy == policy
+        report = engine.infer(512, output_tokens=4)
+        assert predict(run, []).baseline.ttft_s == report.ttft_s
+        dma, _clone = dma_overlap_perturbation(
+            engine, 512, DmaConfig(buffers=1), output_tokens=4)
+        for perturbations in ([OperatorSpeedup("sg1", 2.0)],
+                              [ProcessorReassign("sg2.float", "gpu")],
+                              [dma],
+                              [OperatorSpeedup("decode", 1.5),
+                               ProcessorReassign("sg4.float", "gpu")]):
+            assert_agrees(run, perturbations)
+
+
 class TestPerturbationSemantics:
     def test_tag_match_is_exact_or_dotted_prefix(self):
         task = Task(task_id="t", proc="npu", duration_s=1.0,
@@ -109,12 +136,21 @@ class TestPerturbationSemantics:
         assert OperatorSpeedup("sg1", 2.0).apply(other).duration_s == 1.0
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(WhatIfError, match="positive"):
-            OperatorSpeedup("sg1", 0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(WhatIfError, match="finite and positive"):
+                OperatorSpeedup("sg1", bad)
+            with pytest.raises(WhatIfError, match="finite and positive"):
+                ProcessorReassign("sg1", "gpu", duration_scale=bad)
         with pytest.raises(WhatIfError, match="target processor"):
             ProcessorReassign("sg1", "")
         with pytest.raises(WhatIfError, match="positive"):
             ProcessorReassign("sg1", "gpu", duration_scale=-1.0)
+
+    def test_reassign_target_must_be_on_device(self, run):
+        assert run.device_processors == ("cpu", "gpu", "npu")
+        for check in (predict, resimulate):
+            with pytest.raises(WhatIfError, match="'bogus' is not on"):
+                check(run, [ProcessorReassign("sg2.float", "bogus")])
 
     def test_dma_overlap_is_id_matched(self):
         pert = DmaOverlap(durations={"a": 0.25})
@@ -124,32 +160,11 @@ class TestPerturbationSemantics:
         assert pert.apply(miss).duration_s == 1.0
 
 
-class TestReplayLoop:
-    def test_replay_rejects_malformed_graphs(self):
-        with pytest.raises(WhatIfError, match="unknown processor"):
-            replay_schedule(
-                [Task(task_id="a", proc="dsp", duration_s=1.0)],
-                ["npu"], "fifo")
-        with pytest.raises(WhatIfError, match="unknown dependency"):
-            replay_schedule(
-                [Task(task_id="a", proc="npu", duration_s=1.0,
-                      deps=("ghost",))],
-                ["npu"], "fifo")
-
-    def test_replay_detects_deadlock(self):
-        tasks = [Task(task_id="a", proc="npu", duration_s=1.0,
-                      deps=("b",)),
-                 Task(task_id="b", proc="npu", duration_s=1.0,
-                      deps=("a",))]
-        with pytest.raises(WhatIfError, match="deadlock"):
-            replay_schedule(tasks, ["npu"], "fifo")
-
-
 class TestSpecParsing:
     def test_speedup_spec(self):
         pert = speedup_from_spec("sg1=2")
         assert pert.tag == "sg1" and pert.factor == 2.0
-        for bad in ("sg1", "=2", "sg1=fast"):
+        for bad in ("sg1", "=2", "sg1=fast", "sg1=nan", "sg1=inf"):
             with pytest.raises(WhatIfError):
                 speedup_from_spec(bad)
 
@@ -159,6 +174,20 @@ class TestSpecParsing:
             ("sg2", "gpu", 1.0)
         scaled = reassign_from_spec("sg2=npu*0.5")
         assert scaled.proc == "npu" and scaled.duration_scale == 0.5
-        for bad in ("sg2", "sg2=", "sg2=gpu*slow"):
+        for bad in ("sg2", "sg2=", "sg2=gpu*slow", "sg2=gpu*nan",
+                    "sg2=gpu*inf"):
             with pytest.raises(WhatIfError):
                 reassign_from_spec(bad)
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("args", [
+        ["--speedup", "sg1=nan"],
+        ["--speedup", "sg1=inf"],
+        ["--reassign", "sg2=gpu*nan"],
+        ["--reassign", "sg2=bogus", "--verify"],
+    ])
+    def test_bad_perturbation_exits_2(self, args, capsys):
+        assert main(["whatif", "--prompt-tokens", "256",
+                     "--output-tokens", "2"] + args) == 2
+        assert capsys.readouterr().err.startswith("whatif: ")
