@@ -69,7 +69,7 @@ if ! cmp -s "$prof1" "$prof2"; then
     echo "FAIL: consecutive golden profile reports differ" >&2
     exit 1
 fi
-python scripts/check_trace_schema.py "$prof1"
+python -m repro.cli validate "$prof1"
 echo "OK: golden profile report is byte-identical across runs" \
      "($(wc -c < "$prof1") bytes)"
 
@@ -94,7 +94,7 @@ if ! cmp -s "$fleet1" "$fleet2"; then
     echo "FAIL: consecutive fleet SLO reports differ" >&2
     exit 1
 fi
-python scripts/check_trace_schema.py "$fleet1"
+python -m repro.cli validate "$fleet1"
 echo "OK: fleet SLO report is byte-identical across runs" \
      "($(wc -c < "$fleet1") bytes)"
 
@@ -206,8 +206,8 @@ done
 
 # The scheduler step log (repro.steps/v1) — queue snapshots, typed
 # decisions, embedded breakdowns — is itself a golden artifact: two
-# independent evaluations must serialize to identical bytes, and the
-# schema checker must accept it.
+# independent evaluations must serialize to identical bytes, and
+# `llmnpu validate` must accept it.
 steplog() {
     python -c 'from repro.eval import golden_steplog_json
 print(golden_steplog_json(seed=42, batched=True))'
@@ -227,7 +227,7 @@ if ! cmp -s "$steps1" "$steps2"; then
     echo "FAIL: consecutive golden step logs differ" >&2
     exit 1
 fi
-python scripts/check_trace_schema.py "$steps1"
+python -m repro.cli validate "$steps1"
 echo "OK: golden step log is byte-identical across runs" \
      "($(wc -c < "$steps1") bytes)"
 
@@ -285,7 +285,7 @@ echo "OK: parallel fleet fan-out is byte-identical to sequential" \
 # The critical-path document (repro.critpath/v1) is derived purely
 # from the golden workload's simulated timelines plus the service-side
 # queueing facts, so it too must be a pure function of the seed — and
-# the schema checker enforces per-path conservation (sum of waits +
+# `llmnpu validate` enforces per-path conservation (sum of waits +
 # durations == e2e within 1e-9 s) on it.
 critpath() {
     python -c 'from repro.eval import golden_critpath_json
@@ -305,7 +305,7 @@ if ! cmp -s "$cp1" "$cp2"; then
     echo "FAIL: consecutive golden critical-path documents differ" >&2
     exit 1
 fi
-python scripts/check_trace_schema.py "$cp1"
+python -m repro.cli validate "$cp1"
 echo "OK: golden critical-path document is byte-identical across runs" \
      "($(wc -c < "$cp1") bytes)"
 
@@ -355,7 +355,7 @@ print("OK: vectorized simulator matches the reference on",
 # itself must come back identical; the injected-slowdown golden pair
 # must be a pure function of its arguments, rank exactly the injected
 # operator as the top contributor, and telescope its per-segment deltas
-# to the observed e2e delta (the schema checker enforces the residual
+# to the observed e2e delta (`llmnpu validate` enforces the residual
 # bound per aligned request).
 diffpair() {
     python -c 'from repro.eval import golden_diff_json
@@ -376,7 +376,7 @@ if ! cmp -s "$diff1" "$diff2"; then
     echo "FAIL: consecutive injected-slowdown diffs differ" >&2
     exit 1
 fi
-python scripts/check_trace_schema.py "$diff1"
+python -m repro.cli validate "$diff1"
 python -c '
 import json, sys
 from repro.eval import INJECTED_TAG, injected_slowdown_docs

@@ -6,6 +6,10 @@ Usage::
     llmnpu run fig14                 # regenerate Figure 14
     llmnpu run all                   # regenerate everything
     llmnpu infer --model Qwen1.5-1.8B --prompt-tokens 1024 --output-tokens 8
+    llmnpu validate traces/*.json    # check saved artifacts by schema
+
+``llmnpu validate FILE...`` checks saved artifacts; it is unrelated to
+``llmnpu run validate``, the calibration dashboard experiment.
 """
 
 from __future__ import annotations
@@ -86,7 +90,8 @@ EXPERIMENTS: Dict[str, tuple] = {
     "tri-proc": ("extension: tri-processor execution", tri_processor),
     "crossover": ("extension: short-prompt crossover + hybrid dispatch",
                   short_prompt_crossover),
-    "validate": ("calibration dashboard: paper anchors vs this build",
+    "validate": ("calibration dashboard: paper anchors vs this build "
+                 "(artifact files are checked by `llmnpu validate`)",
                  calibration_dashboard),
     "service": ("LLM-as-a-System-Service load analysis", service_load),
     "service-tiers": ("two-tier scheduling + admission control vs FIFO",
@@ -404,7 +409,7 @@ def cmd_fleet(args) -> int:
         fleet_scheduler_table,
         incident_table,
     )
-    from repro.obs import validate_timeline_doc
+    from repro.obs import validate_fleet_doc
 
     try:
         report = fleet_report(
@@ -413,7 +418,7 @@ def cmd_fleet(args) -> int:
             seed=args.seed,
             workers=args.workers,
         )
-        validate_timeline_doc(report["alerts"])
+        validate_fleet_doc(report)
     except ReproError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
         return 2
@@ -574,27 +579,18 @@ def cmd_diff(args) -> int:
     attribute the deltas.  Exit 0 when identical within tolerance,
     1 when the runs differ, 2 on usage errors — mirroring
     ``bench-compare``."""
-    import json
-
     from repro.errors import ReproError
     from repro.obs import (
         diff_docs,
         diff_json,
         diff_narrative,
         diff_table,
-        open_text,
+        load_doc,
     )
 
     try:
-        docs = []
-        for path in (args.base, args.new):
-            try:
-                with open_text(path) as fh:
-                    docs.append(json.load(fh))
-            except (OSError, ValueError) as exc:
-                raise ReproError(
-                    f"cannot read {path!r}: {exc}") from None
-        doc = diff_docs(docs[0], docs[1], tol_s=args.tol)
+        doc = diff_docs(load_doc(args.base), load_doc(args.new),
+                        tol_s=args.tol)
     except ReproError as exc:
         print(f"diff: {exc}", file=sys.stderr)
         return 2
@@ -621,17 +617,11 @@ def cmd_explain(args) -> int:
     import json
 
     from repro.errors import ReproError
-    from repro.obs import (
-        explain_lines,
-        explain_table,
-        load_steps,
-        validate_steps_doc,
-    )
+    from repro.obs import STEPS_SCHEMA, explain_lines, explain_table, load_doc
 
     try:
         if args.steplog:
-            doc = load_steps(args.steplog)
-            validate_steps_doc(doc)
+            doc = load_doc(args.steplog, STEPS_SCHEMA)
         else:
             from repro.eval import golden_steplog
             doc = golden_steplog(
@@ -658,6 +648,22 @@ def cmd_explain(args) -> int:
     except ReproError as exc:
         print(f"explain: {exc}", file=sys.stderr)
         return 2
+    return 0
+
+
+def cmd_validate(args) -> int:
+    """Check saved artifacts against their schema's validator: one
+    ``OK:`` line per file, exit 2 at the first invalid one."""
+    from repro.errors import ReproError
+    from repro.obs.validate import describe, load_doc
+
+    for path in args.files:
+        try:
+            doc = load_doc(path)
+        except ReproError as exc:
+            print(f"validate: {exc}", file=sys.stderr)
+            return 2
+        print(f"OK: {path}: {describe(doc)}")
     return 0
 
 
@@ -1075,6 +1081,15 @@ def build_parser() -> argparse.ArgumentParser:
     critpath.add_argument("--critpath-out", default=None,
                           help="write the repro.critpath/v1 artifact")
     critpath.set_defaults(func=cmd_critpath)
+
+    validate = sub.add_parser(
+        "validate",
+        help="check saved artifacts (any repro.*/v1 schema, Chrome "
+             "trace or JSONL log, .gz ok) with the in-package "
+             "validators; exits 2 on the first invalid file",
+    )
+    validate.add_argument("files", nargs="+", metavar="FILE")
+    validate.set_defaults(func=cmd_validate)
 
     whatif = sub.add_parser(
         "whatif",

@@ -31,6 +31,7 @@ from repro.obs.diff import (
     diff_json,
     diff_narrative,
 )
+from repro.obs.validate import load_doc
 from repro.obs.whatif import (
     OperatorSpeedup,
     _simulate,
@@ -241,15 +242,7 @@ def explain_regression(artifact_stem: str) -> Optional[dict]:
     if entry is None:
         return None
     golden_path, fresh = entry
-    from repro.obs.export import open_text
-    try:
-        with open_text(golden_path) as fh:
-            golden = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise EngineError(
-            f"cannot read committed golden {golden_path!r}: {exc}"
-        ) from None
-    return diff_docs(golden, fresh())
+    return diff_docs(load_doc(golden_path), fresh())
 
 
 __all__ = [

@@ -40,10 +40,7 @@ from repro.errors import ReproError
 
 #: Schema identifiers stamped into benchmark artifacts and
 #: ``bench-compare --json-out`` delta documents.
-from repro.obs.schemas import (  # noqa: E402 (constant table)
-    BENCH_SCHEMA,
-    BENCHDIFF_SCHEMA,
-)
+from repro.obs.schemas import BENCH_SCHEMA, BENCHDIFF_SCHEMA, require
 
 #: Default relative regression threshold (fraction of the baseline).
 DEFAULT_REL_TOL = 0.05
@@ -53,6 +50,12 @@ DEFAULT_ABS_TOL = 1e-9
 
 #: Metric directions.
 DIRECTIONS = ("lower", "higher", "info")
+
+#: Per-metric comparison verdicts that fail the comparison.
+GATING_VERDICTS = ("regressed", "missing")
+
+#: Every per-metric comparison verdict.
+VERDICTS = ("ok", "improved", "new") + GATING_VERDICTS
 
 #: Column-name fragments that mark a lower-is-better metric.
 _LOWER_HINTS = ("latency", "turnaround", "queue", "retry", "bubble",
@@ -202,35 +205,40 @@ def make_artifact(name: str, tables,
     )
 
 
+def _require_direction(record: dict, where: str) -> None:
+    if record["direction"] not in DIRECTIONS:
+        raise ArtifactError(f"{where}: direction {record['direction']!r} "
+                            f"not in {DIRECTIONS}")
+
+
+def validate_bench_doc(doc: dict) -> None:
+    """Validate a ``repro.bench/v1`` artifact (a dict): a non-empty
+    metrics object whose records carry a finite ``value`` and a known
+    ``direction``, and a string-valued ``env``.  Raises
+    :class:`ArtifactError`."""
+    require(doc, {"schema": str, "name": str, "metrics": dict,
+                  "env": dict}, "artifact", ArtifactError)
+    if doc["schema"] != BENCH_SCHEMA:
+        raise ArtifactError(f"expected schema {BENCH_SCHEMA!r}, got "
+                            f"{doc['schema']!r}")
+    if not doc["metrics"]:
+        raise ArtifactError("artifact: metrics must be non-empty")
+    for metric_id in sorted(doc["metrics"]):
+        where = f"metric {metric_id!r}"
+        record = doc["metrics"][metric_id]
+        require(record, {"value": float, "direction": str}, where,
+                ArtifactError)
+        _require_direction(record, where)
+    require(doc["env"], dict.fromkeys(doc["env"], str), "env",
+            ArtifactError)
+
+
 def load_artifact(path: str) -> BenchArtifact:
-    """Read and structurally validate a ``repro.bench/v1`` file."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or data.get("schema") != BENCH_SCHEMA:
-        raise ArtifactError(
-            f"{path!r}: expected schema {BENCH_SCHEMA!r}, got "
-            f"{data.get('schema') if isinstance(data, dict) else type(data)}"
-        )
-    metrics = data.get("metrics")
-    if not isinstance(metrics, dict):
-        raise ArtifactError(f"{path!r}: missing metrics section")
-    for metric_id, record in metrics.items():
-        if (not isinstance(record, dict)
-                or not isinstance(record.get("value"), (int, float))
-                or record.get("direction") not in DIRECTIONS):
-            raise ArtifactError(
-                f"{path!r}: malformed metric {metric_id!r}: {record!r}"
-            )
-    return BenchArtifact(
-        name=str(data.get("name", "")),
-        metrics=metrics,
-        env=dict(data.get("env", {})),
-    )
+    """Read and validate a (possibly gzipped) ``repro.bench/v1`` file."""
+    from repro.obs.validate import load_doc
+    data = load_doc(path, BENCH_SCHEMA)
+    return BenchArtifact(name=data["name"], metrics=data["metrics"],
+                         env=data["env"])
 
 
 # -- comparison ---------------------------------------------------------------
@@ -244,7 +252,7 @@ class MetricDelta:
     direction: str
     baseline: Optional[float]
     candidate: Optional[float]
-    verdict: str  # 'ok' | 'improved' | 'regressed' | 'missing' | 'new'
+    verdict: str  # one of VERDICTS
     #: Baseline artifact file this metric came from (set by
     #: :func:`compare_paths`; None when comparing in-memory artifacts).
     path: Optional[str] = None
@@ -275,7 +283,7 @@ class Comparison:
     @property
     def regressions(self) -> List[MetricDelta]:
         return [d for d in self.deltas
-                if d.verdict in ("regressed", "missing")]
+                if d.verdict in GATING_VERDICTS]
 
     @property
     def ok(self) -> bool:
@@ -335,6 +343,43 @@ def benchdiff_doc(comparison: Comparison) -> dict:
             for d in comparison.deltas
         ],
     }
+
+
+_DELTA = {"metric": str, "direction": str, "baseline": (float, None),
+          "candidate": (float, None), "delta": (float, None),
+          "rel_delta": (float, None), "verdict": str}
+
+
+def validate_benchdiff_doc(doc: dict) -> None:
+    """Validate a ``repro.benchdiff/v1`` delta report (a dict): per-delta
+    keys, known directions and verdicts, null-or-finite numbers, and
+    ``n_metrics`` / ``n_regressed`` / ``ok`` agreeing with the deltas.
+    Raises :class:`ArtifactError`."""
+    require(doc, {"schema": str, "baseline": object, "candidate": object,
+                  "rel_tol": float, "abs_tol": float, "ok": bool,
+                  "n_metrics": int, "n_regressed": int, "deltas": list},
+            "benchdiff", ArtifactError)
+    if doc["schema"] != BENCHDIFF_SCHEMA:
+        raise ArtifactError(f"expected schema {BENCHDIFF_SCHEMA!r}, got "
+                            f"{doc['schema']!r}")
+    if doc["n_metrics"] != len(doc["deltas"]):
+        raise ArtifactError("benchdiff: n_metrics != len(deltas)")
+    n_regressed = 0
+    for i, d in enumerate(doc["deltas"]):
+        where = f"deltas[{i}]"
+        require(d, _DELTA, where, ArtifactError)
+        _require_direction(d, where)
+        if d["verdict"] not in VERDICTS:
+            raise ArtifactError(f"{where}: verdict {d['verdict']!r} not "
+                                f"in {VERDICTS}")
+        n_regressed += d["verdict"] in GATING_VERDICTS
+    if n_regressed != doc["n_regressed"]:
+        raise ArtifactError(f"benchdiff: n_regressed "
+                            f"{doc['n_regressed']!r} != gating verdict "
+                            f"count {n_regressed}")
+    if doc["ok"] != (n_regressed == 0):
+        raise ArtifactError("benchdiff: ok flag disagrees with the "
+                            "regression count")
 
 
 def benchdiff_json(comparison: Comparison) -> str:

@@ -28,8 +28,9 @@ the golden artifact).  Off-path events get a per-segment slack from a
 latest-finish backward pass over the schedule-fixed DAG.
 
 Documents serialize under ``repro.critpath/v1`` with fully
-deterministic bytes; ``scripts/check_trace_schema.py`` validates the
-conservation invariant stdlib-only.
+deterministic bytes; :func:`validate_critpath_doc` checks a saved one
+(``llmnpu validate``), running :func:`validate_critical_path` on every
+path plus the per-path and document totals.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.hw.trace import Trace, TraceEvent
-from repro.obs.schemas import CRITPATH_EDGES, CRITPATH_SCHEMA
+from repro.obs.schemas import CRITPATH_EDGES, CRITPATH_SCHEMA, require
 
 #: Maximum tolerated conservation residual (segments vs end-to-end).
 CRITPATH_TOL_S = 1e-9
@@ -52,8 +53,6 @@ CRITPATH_TOL_S = 1e-9
 _GATE_TOL_S = 1e-12
 
 #: Gating-edge kinds, in tie-break priority order (low to high).
-#: Defined next to the schema string so the stdlib-only checker reads
-#: the same closed set.
 PATH_EDGES = CRITPATH_EDGES
 
 _EDGE_RANK = {edge: i for i, edge in enumerate(PATH_EDGES)}
@@ -405,6 +404,88 @@ def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
             raise CritPathError(
                 f"{doc.get('source')}: slack[{i}] ({rec['task_id']}): "
                 f"negative slack {rec['slack_s']!r}")
+
+
+_CRITPATH_DOC = {"schema": str, "source": object, "n_paths": int,
+                 "paths": list, "totals": dict}
+_PATH = {"source": object, "origin_s": float, "e2e_s": float,
+         "n_events": object, "n_segments": int, "work_s": float,
+         "wait_s": float, "by_proc": dict, "by_tag": dict,
+         "segments": list, "slack": list}
+_SEGMENT = {"task_id": object, "proc": object, "tag": object,
+            "start_s": float, "end_s": float, "duration_s": float,
+            "wait_s": float, "edge": object}
+_SLACK = {"task_id": object, "proc": object, "tag": object,
+          "start_s": object, "end_s": object, "slack_s": float}
+_TOTALS = {"work_s": float, "wait_s": float, "by_proc": dict,
+           "by_tag": dict}
+
+
+def validate_critpath_doc(doc: dict,
+                          tol_s: float = CRITPATH_TOL_S) -> None:
+    """Validate a saved ``repro.critpath/v1`` document (a dict).
+
+    Record keys and finite numbers, then :func:`validate_critical_path`
+    on every path; per path, segment durations sum to ``work_s`` and to
+    each of ``by_proc`` / ``by_tag``, waits sum to ``wait_s``; the
+    ``totals`` block is the per-path sum.  Raises :class:`CritPathError`.
+    """
+    require(doc, _CRITPATH_DOC, "critpath", CritPathError)
+    if doc["schema"] != CRITPATH_SCHEMA:
+        raise CritPathError(f"expected schema {CRITPATH_SCHEMA!r}, got "
+                            f"{doc['schema']!r}")
+    paths = doc["paths"]
+    if not paths or doc["n_paths"] != len(paths):
+        raise CritPathError("critpath: 'paths' must be a non-empty list "
+                            "of n_paths paths")
+    work = wait = 0.0
+    by_proc: Dict[str, float] = {}
+    by_tag: Dict[str, float] = {}
+    for i, p in enumerate(paths):
+        where = f"paths[{i}]"
+        require(p, _PATH, where, CritPathError)
+        if p["n_segments"] != len(p["segments"]):
+            raise CritPathError(f"{where}: n_segments != len(segments)")
+        for j, seg in enumerate(p["segments"]):
+            require(seg, _SEGMENT, f"{where}.segments[{j}]",
+                    CritPathError)
+        for j, rec in enumerate(p["slack"]):
+            require(rec, _SLACK, f"{where}.slack[{j}]", CritPathError)
+        validate_critical_path(p, tol_s)
+        path_work = sum(seg["duration_s"] for seg in p["segments"])
+        path_wait = sum(seg["wait_s"] for seg in p["segments"])
+        for key, total in (("work_s", path_work), ("wait_s", path_wait)):
+            if abs(p[key] - total) > tol_s:
+                raise CritPathError(f"{where}: {key} {p[key]!r} != "
+                                    f"segment sum {total!r}")
+        for block, acc in (("by_proc", by_proc), ("by_tag", by_tag)):
+            shares = p[block]
+            require(shares, dict.fromkeys(shares, float),
+                    f"{where}.{block}", CritPathError)
+            if abs(sum(shares.values()) - path_work) > tol_s:
+                raise CritPathError(f"{where}: {block} does not sum to the "
+                                    f"on-path work {path_work!r}")
+            for key, value in shares.items():
+                acc[key] = acc.get(key, 0.0) + value
+        work += path_work
+        wait += path_wait
+    totals = doc["totals"]
+    require(totals, _TOTALS, "totals", CritPathError)
+    tol = tol_s * len(paths)
+    for key, total in (("work_s", work), ("wait_s", wait)):
+        if abs(totals[key] - total) > tol:
+            raise CritPathError(f"totals.{key} != sum of per-path {key}")
+    for block, acc in (("by_proc", by_proc), ("by_tag", by_tag)):
+        declared = totals[block]
+        if sorted(declared) != sorted(acc):
+            raise CritPathError(
+                f"totals.{block} keys do not match the paths")
+        require(declared, dict.fromkeys(acc, float), f"totals.{block}",
+                CritPathError)
+        for key in acc:
+            if abs(declared[key] - acc[key]) > tol:
+                raise CritPathError(f"totals.{block}[{key!r}] drifts from "
+                                    f"the per-path sum")
 
 
 def _shift_segment(seg: PathSegment, t0: float,

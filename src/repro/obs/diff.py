@@ -56,6 +56,7 @@ from repro.obs.schemas import (
     FLEET_SCHEMA,
     PROFILE_SCHEMA,
     STEPS_SCHEMA,
+    require,
 )
 
 #: Conservation tolerance: attributed per-segment deltas must telescope
@@ -565,6 +566,56 @@ def validate_diff(doc: dict, tol_s: Optional[float] = None) -> None:
             raise DiffError("diff marked identical but e2e moved")
 
 
+_DIFF_DOC = {"schema": str, "kind": str, "tol_s": float, "base": object,
+             "new": object, "identical": bool}
+_CRITPATH_DIFF = {"e2e": dict, "n_requests": int, "only_base": list,
+                  "only_new": list, "by_stage": object, "by_proc": object,
+                  "by_status": dict, "top_contributors": object,
+                  "requests": list}
+_REQUEST = {"source": object, "base_e2e_s": float, "new_e2e_s": float,
+            "delta_s": float, "attributed_s": float, "residual_s": float,
+            "segments": list}
+_SEGMENT = {"task_id": object, "tag": object, "base_s": float,
+            "new_s": float, "delta_s": float, "status": object}
+
+
+def validate_diff_doc(doc: dict) -> None:
+    """Validate a saved ``repro.diff/v1`` document (a dict).
+
+    Record keys, a positive finite ``tol_s`` and finite numbers; for the
+    critpath kind also the full status tally, ``n_requests``, and every
+    request's and segment's ``delta_s`` equal to new minus base within
+    ``tol_s``; then :func:`validate_diff`.  Raises :class:`DiffError`.
+    """
+    require(doc, _DIFF_DOC, "diff", DiffError)
+    tol = doc["tol_s"]
+    if tol <= 0:
+        raise DiffError("diff: tol_s must be positive")
+    if doc["kind"] == "critpath":
+        require(doc, _CRITPATH_DIFF, "diff", DiffError)
+        require(doc["e2e"], {"base_s": float, "new_s": float,
+                             "delta_s": float}, "e2e", DiffError)
+        if set(doc["by_status"]) != set(DIFF_STATUSES):
+            raise DiffError(f"by_status keys {sorted(doc['by_status'])} "
+                            f"!= {sorted(DIFF_STATUSES)}")
+        if doc["n_requests"] != len(doc["requests"]):
+            raise DiffError("n_requests != len(requests)")
+        for i, req in enumerate(doc["requests"]):
+            where = f"requests[{i}]"
+            require(req, _REQUEST, where, DiffError)
+            records = [(where, req, "base_e2e_s", "new_e2e_s")]
+            for j, seg in enumerate(req["segments"]):
+                require(seg, _SEGMENT, f"{where}.segments[{j}]",
+                        DiffError)
+                records.append((f"{where}.segments[{j}]", seg, "base_s",
+                                "new_s"))
+            for at, record, base, new in records:
+                if abs(record["delta_s"]
+                       - (record[new] - record[base])) > tol:
+                    raise DiffError(f"{at}: delta_s != {new} - {base}")
+    validate_diff(doc, tol)
+
+
 # -- presentation ------------------------------------------------------------
 
 
@@ -701,4 +752,5 @@ __all__ = [
     "diff_table",
     "segment_deltas",
     "validate_diff",
+    "validate_diff_doc",
 ]

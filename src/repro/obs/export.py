@@ -16,8 +16,9 @@ clock).  Open the saved file in https://ui.perfetto.dev or
 ``chrome://tracing``.
 
 The JSONL log is the machine-readable twin: one JSON object per tracer
-record (emission order) followed by one per metrics instrument;
-``scripts/check_trace_schema.py`` validates it.
+record (emission order) followed by one per metrics instrument.
+:func:`validate_chrome_trace` and :func:`validate_jsonl_records` check
+saved files of either format (``llmnpu validate``).
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Instant, Span, Tracer
+from repro.obs.metrics import MetricsRegistry, validate_metric_record
+from repro.obs.schemas import finite, require
+from repro.obs.tracer import Instant, ObservabilityError, Span, Tracer
 
 #: Serial-execution tolerance, matching ``Trace.validate_serial``.
 _OVERLAP_TOL_S = 1e-12
@@ -216,6 +218,60 @@ def validate_timeline(events: List[dict], tol: float = _OVERLAP_TOL_S) -> None:
                 )
 
 
+#: Required keys and types of each Chrome event phase
+#: (:func:`to_chrome_trace`, :func:`step_counter_events`).
+_CHROME_EVENTS = {
+    "M": {"name": str, "pid": int, "args": dict},
+    "X": {"name": object, "cat": object, "pid": int, "tid": int,
+          "ts": float, "dur": float},
+    "i": {"name": object, "pid": int, "tid": int, "ts": float},
+    "C": {"name": object, "pid": int, "tid": int, "ts": float,
+          "args": dict},
+}
+
+
+def validate_chrome_trace(events) -> None:
+    """Check a saved Chrome trace: known event phases with their keys,
+    named processes, non-negative complete events, numeric counter
+    series, at least one complete event, and :func:`validate_timeline`.
+    Raises :class:`~repro.obs.tracer.ObservabilityError` (overlaps
+    raise :class:`SchedulingError`).
+    """
+    if not isinstance(events, list):
+        raise ObservabilityError("a Chrome trace must be a JSON array")
+    named = set()
+    complete = set()
+    for i, e in enumerate(events):
+        where = f"event {i}"
+        ph = e.get("ph") if isinstance(e, dict) else None
+        if not isinstance(ph, str) or ph not in _CHROME_EVENTS:
+            raise ObservabilityError(f"{where}: unknown phase {ph!r}")
+        require(e, _CHROME_EVENTS[ph], where, ObservabilityError)
+        if ph == "M":
+            if e["name"] not in ("process_name", "thread_name"):
+                raise ObservabilityError(
+                    f"{where}: unknown metadata {e['name']!r}")
+            if "name" not in e["args"]:
+                raise ObservabilityError(
+                    f"{where}: metadata without args.name")
+            named.add(e["pid"])
+        elif ph == "X":
+            if e["ts"] < 0 or e["dur"] < 0:
+                raise ObservabilityError(f"{where}: negative ts/dur")
+            complete.add(e["pid"])
+        elif ph == "C":
+            if not e["args"] or not all(map(finite, e["args"].values())):
+                raise ObservabilityError(
+                    f"{where}: counter needs a non-empty numeric series")
+    if not complete:
+        raise ObservabilityError("no complete events")
+    unnamed = sorted(complete - named)
+    if unnamed:
+        raise ObservabilityError(
+            f"pid {unnamed[0]} has events but no process_name")
+    validate_timeline(events)
+
+
 def service_timeline(service, critpath: bool = False,
                      deltas: Optional[Dict[str, float]] = None) -> Tracer:
     """One merged timeline: service request spans + hw task events.
@@ -323,6 +379,48 @@ def write_jsonl(path: str, tracer: Optional[Tracer] = None,
             f.write(json.dumps(record, sort_keys=True))
             f.write("\n")
     return len(records)
+
+
+#: Required keys and types of the tracer's JSONL records
+#: (:meth:`~repro.obs.tracer.Span.to_record` and ``Instant``'s).
+_JSONL_RECORDS = {
+    "span": {"name": object, "cat": object, "proc": object,
+             "thread": object, "start_s": float, "end_s": float,
+             "args": object},
+    "instant": {"name": object, "cat": object, "proc": object,
+                "thread": object, "ts_s": float, "args": object},
+}
+
+
+def validate_jsonl_records(records) -> None:
+    """Check a JSONL event log's records: span/instant keys with
+    non-negative finite timestamps (spans never end before they start),
+    metric records per :func:`~repro.obs.metrics.validate_metric_record`,
+    and at least one span and one metric.  Raises
+    :class:`~repro.obs.tracer.ObservabilityError`.
+    """
+    counts = {"span": 0, "instant": 0, "metric": 0}
+    for i, record in enumerate(records):
+        where = f"record {i + 1}"
+        kind = record.get("type") if isinstance(record, dict) else None
+        if kind == "metric":
+            validate_metric_record(record, where)
+        elif isinstance(kind, str) and kind in _JSONL_RECORDS:
+            require(record, _JSONL_RECORDS[kind], where,
+                    ObservabilityError)
+            start = record["start_s" if kind == "span" else "ts_s"]
+            if start < 0:
+                raise ObservabilityError(f"{where}: negative timestamp")
+            if kind == "span" and record["end_s"] < start:
+                raise ObservabilityError(
+                    f"{where}: span ends before it starts")
+        else:
+            raise ObservabilityError(
+                f"{where}: unknown record type {kind!r}")
+        counts[kind] += 1
+    for kind in ("span", "metric"):
+        if not counts[kind]:
+            raise ObservabilityError(f"no {kind} records")
 
 
 def read_jsonl(path: str) -> List[dict]:

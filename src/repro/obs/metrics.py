@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError
+from repro.obs.schemas import require
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -184,6 +185,27 @@ class Histogram:
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
+def validate_metric_record(record, where: str = "metric") -> None:
+    """Check one instrument snapshot record (JSONL log line or profile
+    ``metrics`` entry): a known kind, a labels object, and finite
+    numbers, except that an empty histogram's percentiles and max are
+    null.  Raises :class:`MetricsError`.
+    """
+    kind = record.get("kind") if isinstance(record, dict) else None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise MetricsError(f"{where}: metric kind {kind!r} not in "
+                           f"{sorted(_KINDS)}")
+    if kind != "histogram":
+        require(record, {"labels": dict, "value": float}, where,
+                MetricsError)
+        return
+    require(record, {"labels": dict, "count": int, "sum": float,
+                     "mean": float}, where, MetricsError)
+    stat = None if record["count"] == 0 else float
+    require(record, {"p50": stat, "p95": stat, "max": stat}, where,
+            MetricsError)
 
 
 class MetricsRegistry:

@@ -52,7 +52,6 @@ produced (the no-op guarantee of ``tests/obs/test_noop_regression.py``).
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,14 +59,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
 
-#: Schema identifier stamped into every incident timeline.
-from repro.obs.schemas import ALERTS_SCHEMA  # noqa: E402 (constant table)
+#: Schema identifiers stamped into incident timelines and fleet reports.
+from repro.obs.schemas import ALERTS_SCHEMA, FLEET_SCHEMA, require
 
 #: SLO objective kinds.
 OBJECTIVES = ("latency", "availability", "energy")
 
 #: Alert lifecycle states.
 ALERT_STATES = ("pending", "firing", "resolved")
+
+#: What a firing incident cross-links to, with each link's keys.
+LINK_KINDS = {"request": ("request_id", "track"), "fault": ("draw", "fault")}
 
 #: Default consecutive-queued-step streak the starvation detector flags.
 STARVATION_MIN_STEPS = 8
@@ -688,23 +690,53 @@ class SloMonitor:
                           sort_keys=True)
 
 
-def validate_timeline_doc(doc: dict) -> None:
-    """Structural validation of a ``repro.alerts/v1`` document.
+_TIMELINE = {"schema": str, "source": str, "start_s": object,
+             "end_s": object, "n_request_events": object,
+             "n_fault_events": object, "slos": list, "rules": list,
+             "incidents": list}
+_SLO = {"name": str, "objective": object, "target": float,
+        "n_events": object, "n_bad": object, "good_fraction": object,
+        "met": object}
+_RULE = {"name": str, "long_window_s": float, "short_window_s": float,
+         "max_burn_rate": object, "for_s": object, "severity": object}
+_INCIDENT = {"slo": str, "rule": str, "severity": object, "state": str,
+             "pending_s": float, "firing_s": (float, None),
+             "resolved_s": (float, None), "peak_burn_rate": object,
+             "links": list}
 
-    The same invariants ``scripts/check_trace_schema.py`` enforces in
-    CI, importable for tests: schema stamp, per-``(source, slo, rule)``
-    non-overlapping incident intervals, ``pending <= firing <=
-    resolved`` ordering, and non-empty links on every firing incident.
+
+def validate_timeline_doc(doc: dict) -> None:
+    """Validate a ``repro.alerts/v1`` incident timeline (a dict).
+
+    Record keys; SLO targets in (0, 1); short rule windows within long
+    ones; incidents that reference declared SLOs and rules, use a known
+    state, order ``pending <= firing <= resolved`` with finite times,
+    and carry well-formed links (at least one when firing); and
+    non-overlapping incidents per ``(source, slo, rule)``.  Raises
+    :class:`MonitorError`.
     """
-    if doc.get("schema") != ALERTS_SCHEMA:
+    require(doc, _TIMELINE, "alerts", MonitorError)
+    if doc["schema"] != ALERTS_SCHEMA:
         raise MonitorError(
-            f"expected schema {ALERTS_SCHEMA!r}, got {doc.get('schema')!r}"
+            f"expected schema {ALERTS_SCHEMA!r}, got {doc['schema']!r}"
         )
-    slo_names = {s["name"] for s in doc.get("slos", ())}
-    rule_names = {r["name"] for r in doc.get("rules", ())}
+    slo_names = set()
+    for i, slo in enumerate(doc["slos"]):
+        require(slo, _SLO, f"slos[{i}]", MonitorError)
+        if not 0 < slo["target"] < 1:
+            raise MonitorError(f"slos[{i}]: target must be in (0, 1)")
+        slo_names.add(slo["name"])
+    rule_names = set()
+    for i, rule in enumerate(doc["rules"]):
+        require(rule, _RULE, f"rules[{i}]", MonitorError)
+        if rule["short_window_s"] > rule["long_window_s"]:
+            raise MonitorError(
+                f"rules[{i}]: short window exceeds long window")
+        rule_names.add(rule["name"])
     by_pair: Dict[Tuple, List[dict]] = {}
-    for i, inc in enumerate(doc.get("incidents", ())):
+    for i, inc in enumerate(doc["incidents"]):
         where = f"incidents[{i}]"
+        require(inc, _INCIDENT, where, MonitorError)
         if inc["slo"] not in slo_names:
             raise MonitorError(f"{where}: unknown SLO {inc['slo']!r}")
         if inc["rule"] not in rule_names:
@@ -713,27 +745,30 @@ def validate_timeline_doc(doc: dict) -> None:
             raise MonitorError(f"{where}: unknown state {inc['state']!r}")
         pending, firing, resolved = (inc["pending_s"], inc["firing_s"],
                                      inc["resolved_s"])
-        if not isinstance(pending, (int, float)) \
-                or not math.isfinite(pending):
-            raise MonitorError(f"{where}: pending_s must be finite")
         if firing is not None and firing < pending:
             raise MonitorError(f"{where}: firing_s < pending_s")
         if resolved is not None:
             anchor = pending if firing is None else firing
             if resolved < anchor:
-                raise MonitorError(f"{where}: resolved_s precedes "
-                                   f"{'firing' if firing else 'pending'}_s")
+                raise MonitorError(
+                    f"{where}: resolved_s precedes "
+                    f"{'pending' if firing is None else 'firing'}_s")
         if firing is not None and not inc["links"]:
             raise MonitorError(
                 f"{where}: firing incident with no cross-links"
             )
-        for link in inc["links"]:
-            if link.get("kind") not in ("request", "fault"):
+        for j, link in enumerate(inc["links"]):
+            kind = link.get("kind") if isinstance(link, dict) else None
+            if not isinstance(kind, str) or kind not in LINK_KINDS:
                 raise MonitorError(
-                    f"{where}: unknown link kind {link.get('kind')!r}"
+                    f"{where}: unknown link kind {kind!r}"
                 )
-        key = (inc.get("source", doc.get("source")), inc["slo"],
-               inc["rule"])
+            require(link, dict.fromkeys(LINK_KINDS[kind], object),
+                    f"{where}.links[{j}]", MonitorError)
+        source = inc.get("source", doc["source"])
+        if not isinstance(source, str):
+            raise MonitorError(f"{where}: source must be a string")
+        key = (source, inc["slo"], inc["rule"])
         by_pair.setdefault(key, []).append(inc)
     for key, incidents in sorted(by_pair.items()):
         incidents = sorted(incidents, key=lambda inc: inc["pending_s"])
@@ -749,3 +784,43 @@ def validate_timeline_doc(doc: dict) -> None:
                     f"{key}: incidents overlap "
                     f"({b['pending_s']!r} < {end!r})"
                 )
+
+
+_FLEET = {"schema": str, "n_devices": int, "devices": list,
+          "percentiles": dict, "sketches": dict, "alerts": dict}
+_FLEET_DEVICE = {"name": object, "device": object, "seed": object,
+                 "n_requests": object, "n_completed": object,
+                 "n_incidents": object, "n_firing": object,
+                 "ttft_p50_s": (float, None), "ttft_p95_s": (float, None),
+                 "mean_itl_s": (float, None), "goodput_rps": float}
+_PERCENTILE_STATS = ("p50", "p90", "p95", "p99", "max")
+
+
+def validate_fleet_doc(doc: dict) -> None:
+    """Validate a ``repro.fleet/v1`` report (a dict): device records,
+    merged percentile blocks (null stats exactly when empty, each with a
+    sketch payload), and the embedded alerts timeline
+    (:func:`validate_timeline_doc`).  Raises :class:`MonitorError`."""
+    require(doc, _FLEET, "fleet", MonitorError)
+    if doc["schema"] != FLEET_SCHEMA:
+        raise MonitorError(
+            f"expected schema {FLEET_SCHEMA!r}, got {doc['schema']!r}"
+        )
+    if len(doc["devices"]) != doc["n_devices"]:
+        raise MonitorError("fleet: n_devices != len(devices)")
+    for i, device in enumerate(doc["devices"]):
+        require(device, _FLEET_DEVICE, f"devices[{i}]", MonitorError)
+        if device["goodput_rps"] < 0:
+            raise MonitorError(f"devices[{i}]: negative goodput_rps")
+    for key in sorted(doc["percentiles"]):
+        where = f"percentiles[{key!r}]"
+        snap = doc["percentiles"][key]
+        require(snap, {"count": int}, where, MonitorError)
+        if snap["count"] < 0:
+            raise MonitorError(f"{where}: negative count")
+        stat = None if snap["count"] == 0 else float
+        require(snap, dict.fromkeys(_PERCENTILE_STATS, stat), where,
+                MonitorError)
+        if key not in doc["sketches"]:
+            raise MonitorError(f"{where}: no matching sketch payload")
+    validate_timeline_doc(doc["alerts"])

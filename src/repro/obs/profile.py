@@ -49,8 +49,9 @@ from repro.hw.energy import HELPER_POWER_FRACTION
 from repro.hw.processor import DType, ProcKind, ProcessorSpec
 from repro.hw.trace import Trace
 
+from repro.obs.metrics import validate_metric_record
 #: Schema identifier stamped into every profile JSON.
-from repro.obs.schemas import PROFILE_SCHEMA  # noqa: E402 (constant table)
+from repro.obs.schemas import PROFILE_SCHEMA, require
 
 #: Idle-cause categories, in classification priority order.
 IDLE_CAUSES = ("graph_build", "sync_wait", "dependency", "starvation")
@@ -399,29 +400,133 @@ class ProfileReport:
         return table
 
 
+def _check_conservation(window_s: float, n_traces: int, procs,
+                        op_busy: Dict[str, float], tol_s: float) -> None:
+    """Per processor ``(name, busy_s, idle_s)``: busy plus classified
+    idle equals the window, and the operators' busy time (``op_busy``,
+    summed per processor) equals the processor's busy time."""
+    tol = tol_s * max(1, n_traces)
+    for name, busy, idle in procs:
+        residual = busy + idle - window_s
+        if abs(residual) > tol:
+            raise ProfileError(
+                f"{name}: busy + idle != window (busy {busy!r} + idle "
+                f"{idle!r} vs window {window_s!r}, residual "
+                f"{residual:.3e} s > {tol:.3e} s)"
+            )
+        if abs(op_busy.get(name, 0.0) - busy) > tol:
+            raise ProfileError(
+                f"{name}: per-operator busy sums to "
+                f"{op_busy.get(name, 0.0)!r}, processor busy is {busy!r}"
+            )
+
+
 def validate_profile(report: ProfileReport,
                      tol_s: float = PROFILE_TOL_S) -> None:
     """Assert the conservation invariant: per processor, attributed busy
     time plus classified idle time equals the profiled window."""
-    for p in report.processors:
-        residual = p.busy_s + p.idle_s - report.window_s
-        if abs(residual) > tol_s * max(1.0, report.n_traces):
-            raise ProfileError(
-                f"{p.proc}: busy {p.busy_s!r} + idle {p.idle_s!r} != "
-                f"window {report.window_s!r} "
-                f"(residual {residual:.3e} s)"
-            )
     op_busy: Dict[str, float] = {}
     for o in report.operators:
         op_busy[o.proc] = op_busy.get(o.proc, 0.0) + o.busy_s
-    for p in report.processors:
-        residual = op_busy.get(p.proc, 0.0) - p.busy_s
-        if abs(residual) > tol_s * max(1.0, report.n_traces):
-            raise ProfileError(
-                f"{p.proc}: per-operator busy sums to "
-                f"{op_busy.get(p.proc, 0.0)!r}, processor busy is "
-                f"{p.busy_s!r}"
-            )
+    _check_conservation(report.window_s, report.n_traces,
+                        ((p.proc, p.busy_s, p.idle_s)
+                         for p in report.processors), op_busy, tol_s)
+
+
+_PROFILE_DOC = {"schema": str, "window_s": float, "n_traces": int,
+                "processors": list, "operators": list, "phases": dict,
+                "energy": (dict, None), "flamegraph": list}
+_PROCESSOR = {"proc": str, "busy_s": float, "span_s": float,
+              "idle_s": float, "idle_by_cause": dict,
+              "matmul_busy_s": float, "matmul_ops": float}
+_OPERATOR = {"proc": str, "tag": object, "n_events": object,
+             "busy_s": float, "ops": object}
+
+
+def _require_nonneg(record: dict, keys, where: str) -> None:
+    for key in keys:
+        if record[key] < 0:
+            raise ProfileError(f"{where}: {key!r} must be non-negative")
+
+
+def validate_profile_doc(doc: dict, tol_s: float = PROFILE_TOL_S) -> None:
+    """Validate a saved ``repro.profile/v1`` report (a dict).
+
+    Record keys and finite non-negative numbers; every processor's idle
+    split over exactly :data:`IDLE_CAUSES` summing to its idle time; the
+    conservation invariant of :func:`validate_profile`; operators on
+    known processors; energy components summing to their totals;
+    ``stack <integer-ns>`` flamegraph lines; and the optional metrics
+    snapshot.  Raises :class:`ProfileError`.
+    """
+    require(doc, _PROFILE_DOC, "profile", ProfileError)
+    if doc["schema"] != PROFILE_SCHEMA:
+        raise ProfileError(f"expected schema {PROFILE_SCHEMA!r}, got "
+                           f"{doc['schema']!r}")
+    _require_nonneg(doc, ("window_s", "n_traces"), "profile")
+    tol = tol_s * max(1, doc["n_traces"])
+    busy_by_proc: Dict[str, float] = {}
+    for i, proc in enumerate(doc["processors"]):
+        where = f"processors[{i}]"
+        require(proc, _PROCESSOR, where, ProfileError)
+        _require_nonneg(proc, ("busy_s", "span_s", "idle_s",
+                               "matmul_busy_s", "matmul_ops"), where)
+        idle = proc["idle_by_cause"]
+        require(idle, dict.fromkeys(IDLE_CAUSES, float),
+                f"{where}.idle_by_cause", ProfileError)
+        if set(idle) != set(IDLE_CAUSES):
+            raise ProfileError(f"{where}: idle causes {sorted(idle)} != "
+                               f"{sorted(IDLE_CAUSES)}")
+        _require_nonneg(idle, IDLE_CAUSES, f"{where}.idle_by_cause")
+        if abs(sum(idle.values()) - proc["idle_s"]) > tol:
+            raise ProfileError(f"{where}: idle_by_cause does not sum to "
+                               f"idle_s")
+        if proc["proc"] in busy_by_proc:
+            raise ProfileError(f"{where}: duplicate processor "
+                               f"{proc['proc']!r}")
+        busy_by_proc[proc["proc"]] = proc["busy_s"]
+    op_busy: Dict[str, float] = {}
+    for i, op in enumerate(doc["operators"]):
+        where = f"operators[{i}]"
+        require(op, _OPERATOR, where, ProfileError)
+        _require_nonneg(op, ("busy_s",), where)
+        if op["proc"] not in busy_by_proc:
+            raise ProfileError(f"{where}: unknown processor "
+                               f"{op['proc']!r}")
+        op_busy[op["proc"]] = op_busy.get(op["proc"], 0.0) + op["busy_s"]
+    _check_conservation(doc["window_s"], doc["n_traces"],
+                        ((p["proc"], p["busy_s"], p["idle_s"])
+                         for p in doc["processors"]), op_busy, tol_s)
+    energy = doc["energy"]
+    if energy is not None:
+        require(energy, {"per_processor": dict, "platform_j": float,
+                         "total_j": float}, "energy", ProfileError)
+        attributed = energy["platform_j"]
+        for proc in sorted(energy["per_processor"]):
+            section = energy["per_processor"][proc]
+            where = f"energy[{proc!r}]"
+            require(section, {"tags": dict, "idle_j": float,
+                              "total_j": float}, where, ProfileError)
+            tags = section["tags"]
+            require(tags, dict.fromkeys(tags, float), f"{where}.tags",
+                    ProfileError)
+            if abs(sum(tags.values()) + section["idle_j"]
+                   - section["total_j"]) > tol:
+                raise ProfileError(f"{where}: tags + idle != total")
+            attributed += section["total_j"]
+        if abs(attributed - energy["total_j"]) > tol:
+            raise ProfileError("energy components do not sum to total_j")
+    for i, line in enumerate(doc["flamegraph"]):
+        parts = line.rsplit(" ", 1) if isinstance(line, str) else ()
+        if len(parts) != 2 or not parts[1].isdigit():
+            raise ProfileError(f"flamegraph[{i}] not 'stack "
+                               f"<integer-ns>': {line!r}")
+    metrics = doc.get("metrics")
+    if metrics is not None:
+        if not isinstance(metrics, list):
+            raise ProfileError("metrics must be a snapshot list")
+        for i, record in enumerate(metrics):
+            validate_metric_record(record, f"metrics[{i}]")
 
 
 def profile_trace(trace: Trace, device=None,

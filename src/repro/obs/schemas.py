@@ -4,14 +4,17 @@ Every schema-versioned JSON document the repo emits declares itself via
 a ``"schema"`` key whose value lives here and **only** here.  Producer
 modules (``obs/profile.py``, ``obs/artifact.py``, ``obs/monitor.py``,
 ``obs/sketch.py``, ``obs/steplog.py``, ``eval/fleet.py``) import their
-constant from this table, and ``scripts/check_trace_schema.py`` loads
-this file *by path* (``importlib.util.spec_from_file_location``) so the
-stdlib-only checker validates against the very same strings — a new
-schema cannot drift between writer and checker.
+constant from this table; each schema's validator lives in its owning
+module, and :func:`repro.obs.validate.load_doc` (``llmnpu validate``)
+dispatches a file to it by this key.
 
-This module must stay dependency-free (pure constants): the schema
-checker executes it without numpy or the ``repro`` package on its path.
+Besides the constants, :func:`require` is the key/type check every
+file-boundary validator runs before its invariants, so a malformed
+document fails with that module's typed error instead of a
+``KeyError``/``TypeError``.
 """
+
+import math
 
 #: Per-operator/per-processor attribution reports (``llmnpu profile``).
 PROFILE_SCHEMA = "repro.profile/v1"
@@ -45,8 +48,7 @@ BENCHDIFF_SCHEMA = "repro.benchdiff/v1"
 
 #: The ``repro.diff/v1`` per-segment status taxonomy: how an aligned
 #: critical-path segment moved between the base and new runs (see
-#: ``obs/diff.py``).  Lives here so the stdlib-only schema checker
-#: validates against the same closed set the writer enforces.
+#: ``obs/diff.py``).
 DIFF_STATUSES = (
     "grew",
     "shrank",
@@ -66,8 +68,6 @@ DIFF_KINDS = (
 
 #: The ``repro.critpath/v1`` edge taxonomy: what gated each on-path
 #: segment (see ``obs/critical_path.py`` for the per-edge semantics).
-#: Lives here so the stdlib-only schema checker validates against the
-#: same closed set the writer enforces.
 CRITPATH_EDGES = (
     "origin",
     "inferred",
@@ -77,8 +77,7 @@ CRITPATH_EDGES = (
 )
 
 #: The ``repro.steps/v1`` decision taxonomy (see ``obs/steplog.py`` for
-#: the per-action semantics).  Lives here so the stdlib-only schema
-#: checker validates against the same closed set the writer enforces.
+#: the per-action semantics).
 DECISION_ACTIONS = (
     "admitted",
     "admission-rejected",
@@ -97,9 +96,8 @@ DECISION_ACTIONS = (
     "failed",
 )
 
-#: Every document schema, keyed by its ``"schema"`` string.  The schema
-#: checker iterates this to dispatch validation; keep descriptions short
-#: — they surface in ``check_trace_schema.py --help``-style output.
+#: Every document schema, keyed by its ``"schema"`` string.  Keep
+#: descriptions short — ``llmnpu validate`` prints them on its OK lines.
 SCHEMA_TABLE = {
     PROFILE_SCHEMA: "time/energy attribution report",
     BENCH_SCHEMA: "benchmark artifact with directional metrics",
@@ -111,6 +109,51 @@ SCHEMA_TABLE = {
     DIFF_SCHEMA: "run-to-run differential attribution",
     BENCHDIFF_SCHEMA: "bench-compare machine-readable delta report",
 }
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number (bools excluded)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_has_type(value, k) for k in kind)
+    if kind is None:
+        return value is None
+    if kind is float:
+        return finite(value)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               bool: "a boolean", list: "a list", dict: "an object",
+               None: "null"}
+
+
+def require(doc, spec: dict, where: str, error) -> None:
+    """Raise ``error`` unless ``doc`` is an object holding every key of
+    ``spec`` with the declared type.
+
+    ``spec`` maps key -> ``float`` (a finite number), ``int``, ``str``,
+    ``bool``, ``list``, ``dict``, ``object`` (any value), or a tuple of
+    those where ``None`` admits null.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected an object, got "
+                    f"{type(doc).__name__}")
+    for key, kind in spec.items():
+        if key not in doc:
+            raise error(f"{where}: missing {key!r}")
+        if kind is not object and not _has_type(doc[key], kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            raise error(f"{where}: {key!r} must be "
+                        f"{' or '.join(_TYPE_NAMES[k] for k in kinds)}, "
+                        f"got {doc[key]!r}")
+
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -127,4 +170,6 @@ __all__ = [
     "CRITPATH_EDGES",
     "DECISION_ACTIONS",
     "SCHEMA_TABLE",
+    "finite",
+    "require",
 ]

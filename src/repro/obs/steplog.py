@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-# The decision taxonomy lives in the dependency-free constant table so
-# the stdlib-only schema checker validates against the same closed set.
+# The decision taxonomy lives in the schema constant table.
 # Admission-time: ``admitted`` / ``admission-rejected``.  Start-loop:
 # ``started`` / ``kv-deferred`` / ``concurrency-deferred``.  Per-step
 # assembly: ``chunk-scheduled`` / ``decode-scheduled`` /
@@ -43,7 +42,7 @@ from repro.errors import ReproError
 # Legacy-path dispatch: ``dispatched``.  Terminal: the record's status
 # (``completed`` / ``rejected`` / ``cancelled`` / ``timeout`` /
 # ``failed``).
-from repro.obs.schemas import DECISION_ACTIONS, STEPS_SCHEMA
+from repro.obs.schemas import DECISION_ACTIONS, STEPS_SCHEMA, require
 
 
 class StepLogError(ReproError):
@@ -244,21 +243,24 @@ class StepLogger:
         return path
 
 
-def load_steps(path: str) -> dict:
-    """Read and structurally validate a (possibly gzipped)
-    ``repro.steps/v1`` file."""
-    from repro.obs.export import open_text
-    try:
-        with open_text(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise StepLogError(f"cannot read step log {path!r}: {exc}") from None
-    validate_steps_doc(doc)
-    return doc
+_STEP = {"index": object, "start_s": float, "end_s": float,
+         "n_inflight": object, "batch_tokens": object, "items": list,
+         "queued_ids": list, "queue_depths": dict}
+_ITEM = {"start_s": float, "end_s": float}
+_REQUEST = {"request_id": object, "tier": object, "status": object,
+            "arrival_s": object, "start_s": object, "finish_s": object,
+            "breakdown": dict}
+_BREAKDOWN = dict.fromkeys(("queue_s", "admission_s", "retry_s",
+                            "prefill_s", "decode_s", "turnaround_s"),
+                           float)
 
 
 def validate_steps_doc(doc: dict) -> None:
-    """Structural validation of a ``repro.steps/v1`` document."""
+    """Validate a ``repro.steps/v1`` document: record keys, counts that
+    match their lists, finite step windows whose items' summed span
+    equals the window within 1e-9 s (work conservation), decisions from
+    the closed taxonomy at finite times, and numeric per-request
+    breakdowns.  Raises :class:`StepLogError`."""
     if not isinstance(doc, dict):
         raise StepLogError("step log must be a JSON object")
     if doc.get("schema") != STEPS_SCHEMA:
@@ -268,28 +270,32 @@ def validate_steps_doc(doc: dict) -> None:
     for key in ("steps", "decisions", "requests"):
         if not isinstance(doc.get(key), list):
             raise StepLogError(f"step log missing list {key!r}")
-    if doc.get("n_steps") != len(doc["steps"]):
-        raise StepLogError("n_steps does not match the steps list")
-    for step in doc["steps"]:
-        for key in ("index", "start_s", "end_s", "n_inflight",
-                    "batch_tokens", "items", "queued_ids"):
-            if key not in step:
-                raise StepLogError(f"step missing key {key!r}")
+    require(doc, {"source": object, "n_steps": int, "n_requests": int,
+                  "n_decisions": int}, "step log", StepLogError)
+    for key in ("steps", "requests", "decisions"):
+        if doc[f"n_{key}"] != len(doc[key]):
+            raise StepLogError(f"n_{key} does not match the {key} list")
+    for i, step in enumerate(doc["steps"]):
+        where = f"steps[{i}]"
+        require(step, _STEP, where, StepLogError)
         if step["end_s"] < step["start_s"]:
-            raise StepLogError(f"step {step['index']}: end before start")
+            raise StepLogError(f"{where}: end before start")
+        for j, item in enumerate(step["items"]):
+            require(item, _ITEM, f"{where}.items[{j}]", StepLogError)
         span = sum(it["end_s"] - it["start_s"] for it in step["items"])
         if abs(span - (step["end_s"] - step["start_s"])) > 1e-9:
             raise StepLogError(
-                f"step {step['index']}: items span {span!r} != step "
+                f"{where}: items span {span!r} != step "
                 f"window {step['end_s'] - step['start_s']!r}"
             )
-    for dec in doc["decisions"]:
+    for i, dec in enumerate(doc["decisions"]):
+        require(dec, {"t_s": float}, f"decisions[{i}]", StepLogError)
         Decision.from_dict(dec)
-    for req in doc["requests"]:
-        for key in ("request_id", "tier", "status", "arrival_s",
-                    "start_s", "finish_s", "breakdown"):
-            if key not in req:
-                raise StepLogError(f"request record missing key {key!r}")
+    for i, req in enumerate(doc["requests"]):
+        where = f"requests[{i}]"
+        require(req, _REQUEST, where, StepLogError)
+        require(req["breakdown"], _BREAKDOWN, f"{where}.breakdown",
+                StepLogError)
 
 
 def as_steps_doc(source) -> dict:

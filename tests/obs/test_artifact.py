@@ -135,6 +135,42 @@ class TestArtifactIO:
             load_artifact(str(path))
 
 
+class TestBenchCompareHostileCandidates:
+    """``llmnpu bench-compare`` reads artifacts through the bench
+    validator: a non-finite metric is a usage error (exit 2), and a
+    gzipped artifact is read, not rejected."""
+
+    def _paths(self, tmp_path):
+        artifact = make_artifact("run", latency_table(), env={})
+        return artifact, artifact.save(str(tmp_path / "BENCH_run.json"))
+
+    def test_nan_metric_value_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs import validate_bench_doc
+        artifact, base = self._paths(tmp_path)
+        doc = artifact.to_dict()
+        doc["metrics"]["baseline.e2e_s"]["value"] = float("nan")
+        with pytest.raises(ArtifactError, match="finite"):
+            validate_bench_doc(doc)
+        cand = tmp_path / "nan.json"
+        cand.write_text(json.dumps(doc))  # json writes NaN unless told not to
+        with pytest.raises(ArtifactError):
+            load_artifact(str(cand))
+        assert main(["bench-compare", base, str(cand)]) == 2
+        assert "bench-compare" in capsys.readouterr().err
+
+    def test_gzipped_artifact_is_read(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs import open_text
+        artifact, base = self._paths(tmp_path)
+        packed = str(tmp_path / "BENCH_run.json.gz")
+        with open_text(packed, "w") as f:
+            f.write(artifact.to_json())
+        assert load_artifact(packed).metrics == artifact.metrics
+        assert main(["bench-compare", base, packed]) == 0
+        assert "OK" in capsys.readouterr().out
+
+
 class TestCompare:
     def test_identical_runs_compare_clean(self):
         a = make_artifact("run", latency_table(), env={})

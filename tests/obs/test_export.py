@@ -140,22 +140,18 @@ class TestJsonl:
         records = jsonl_records(tracer=traced_service.tracer)
         assert len(records) == len(traced_service.tracer.events)
 
-    def test_schema_checker_accepts(self, tmp_path, traced_service):
-        import os
-        import subprocess
-        import sys
+    def test_schema_checker_accepts(self, tmp_path, traced_service,
+                                    capsys):
+        from repro.cli import main
         path = str(tmp_path / "events.jsonl")
         write_jsonl(path, tracer=traced_service.tracer,
                     metrics=traced_service.metrics_registry)
         trace_path = str(tmp_path / "trace.json")
         export_service_trace(traced_service, trace_path)
-        checker = os.path.join(os.path.dirname(__file__), "..", "..",
-                               "scripts", "check_trace_schema.py")
-        result = subprocess.run(
-            [sys.executable, checker, path, trace_path],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
+        assert main(["validate", path, trace_path]) == 0, \
+            capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "JSONL event log" in out and "Chrome trace" in out
 
 
 def make_step(index=0, start_s=0.0, end_s=0.1, n_inflight=1,
@@ -286,13 +282,13 @@ class TestGzipTransparency:
 
     def test_steplog_save_load_gzip(self, tmp_path):
         from repro.eval import golden_steplog
-        from repro.obs import load_steps
+        from repro.obs import load_doc
         steplog = golden_steplog(seed=42, batched=True)
         plain = tmp_path / "steps.json"
         packed = tmp_path / "steps.json.gz"
         steplog.save(str(plain))
         steplog.save(str(packed))
-        assert load_steps(str(packed)) == load_steps(str(plain))
+        assert load_doc(str(packed)) == load_doc(str(plain))
 
 
 class TestDeltaMarking:

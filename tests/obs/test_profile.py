@@ -8,12 +8,10 @@ makespan and energy against the engine's reported totals.
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
 
+from repro.cli import main
 from repro.hw.soc import get_device
 from repro.hw.trace import Trace, TraceEvent
 from repro.obs import (
@@ -296,38 +294,26 @@ class TestProfileInference:
         validate_profile(report)
 
     def test_json_is_deterministic_and_schema_clean(self, engine_profile,
-                                                    tmp_path):
+                                                    tmp_path, capsys):
         _engine, _inference, report = engine_profile
         assert report.to_json() == report.to_json()
         doc = json.loads(report.to_json())
         assert doc["schema"] == "repro.profile/v1"
         path = str(tmp_path / "profile.json")
         report.save(path)
-        checker = os.path.join(os.path.dirname(__file__), "..", "..",
-                               "scripts", "check_trace_schema.py")
-        result = subprocess.run(
-            [sys.executable, checker, path],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
+        assert main(["validate", path]) == 0, capsys.readouterr().err
 
     def test_schema_checker_rejects_broken_conservation(self,
                                                         engine_profile,
-                                                        tmp_path):
+                                                        tmp_path, capsys):
         _engine, _inference, report = engine_profile
         doc = report.to_dict()
         doc["processors"][0]["busy_s"] += 1.0
         path = str(tmp_path / "broken.json")
         with open(path, "w") as f:
             json.dump(doc, f)
-        checker = os.path.join(os.path.dirname(__file__), "..", "..",
-                               "scripts", "check_trace_schema.py")
-        result = subprocess.run(
-            [sys.executable, checker, path],
-            capture_output=True, text=True,
-        )
-        assert result.returncode != 0
-        assert "busy + idle != window" in result.stderr
+        assert main(["validate", path]) == 2
+        assert "busy + idle != window" in capsys.readouterr().err
 
 
 class TestServiceProfile:

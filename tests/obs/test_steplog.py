@@ -16,7 +16,7 @@ from repro.obs import (
     StepLogger,
     as_steps_doc,
     decision_mix,
-    load_steps,
+    load_doc,
     occupancy_summary,
     starved_requests,
     validate_steps_doc,
@@ -77,7 +77,7 @@ class TestGoldenStepLog:
     def test_save_load_roundtrip(self, tmp_path, batched_doc):
         logger = golden_steplog(seed=42, batched=True)
         path = logger.save(str(tmp_path / "steps.json"))
-        assert load_steps(path) == logger.to_dict()
+        assert load_doc(path, STEPS_SCHEMA) == logger.to_dict()
 
     def test_json_export_is_deterministic(self):
         assert golden_steplog_json(seed=42, batched=True) == \
@@ -131,13 +131,13 @@ class TestValidation:
 
     def test_load_unreadable(self, tmp_path):
         with pytest.raises(StepLogError, match="cannot read"):
-            load_steps(str(tmp_path / "nope.json"))
+            load_doc(str(tmp_path / "nope.json"), STEPS_SCHEMA)
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(StepLogError, match="cannot read"):
-            load_steps(str(path))
+            load_doc(str(path), STEPS_SCHEMA)
 
     def test_as_steps_doc_rejects_garbage(self):
         with pytest.raises(StepLogError, match="cannot interpret"):
@@ -206,16 +206,9 @@ class TestDerivedDetectors:
 
 
 class TestSchemaCheckerAcceptsStepLog:
-    def test_cli_schema_checker(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        root = os.path.join(os.path.dirname(__file__), "..", "..")
+    def test_cli_schema_checker(self, tmp_path, capsys):
+        from repro.cli import main
         path = golden_steplog(seed=42, batched=True).save(
             str(tmp_path / "steps.json"))
-        proc = subprocess.run(
-            [sys.executable, "scripts/check_trace_schema.py", path],
-            capture_output=True, text=True, cwd=root,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "step log" in proc.stdout
+        assert main(["validate", path]) == 0, capsys.readouterr().err
+        assert STEPS_SCHEMA in capsys.readouterr().out
