@@ -1,8 +1,9 @@
 """Self-benchmark of the simulation substrate (not a paper figure).
 
 Measures the reproduction's own machinery: sim-core events/second
-(vectorized ``Simulator`` vs the kept-verbatim ``ReferenceSimulator``,
-with trace equality re-verified in the same run), quant-hot-path
+under ``FifoPolicy`` (``Simulator``'s key-heap loop vs the kept-verbatim
+``ReferenceSimulator``, with trace equality re-verified in the same
+run), quant-hot-path
 tokens/second, and fleet-harness devices/second.  The gated artifact
 metric is the deterministic ``speedup floor x`` contract; raw rates are
 informational (machine-dependent).  CI's perf-smoke job runs this file
@@ -37,7 +38,7 @@ def test_sim_speed(benchmark):
     )
     print(f"[artifact: {json_path}]")
 
-    # ACCEPTANCE: the vectorized dispatcher must beat the reference by
+    # ACCEPTANCE: the simulator loop must beat the reference by
     # the contract floor on every gated scenario, with identical traces
     # (trace equality is asserted inside sim_core_speed itself).
     assert min_gated_sim_speedup(sim) >= SIM_SPEEDUP_FLOOR

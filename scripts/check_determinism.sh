@@ -335,20 +335,23 @@ print("OK: what-if predictions match the reference simulator within",
       WHATIF_TOL_S, "s on 3 perturbation sets")
 '
 
-# The vectorized simulator fast path must make exactly the choices of
-# the kept-verbatim reference implementation on the self-benchmark
-# graphs (the speedup suite's correctness precondition).
+# The simulator loop must make exactly the choices of the kept-verbatim
+# reference implementation on the self-benchmark graphs, under every
+# scheduling policy (the speedup suite's correctness precondition).
 python -c '
+from repro.core.scheduler import POLICIES, get_policy
 from repro.eval.simbench import SIM_SCENARIOS, synthetic_task_graph
-from repro.hw.sim import FifoPolicy, ReferenceSimulator, Simulator
+from repro.hw.sim import ReferenceSimulator, Simulator
 
 for scenario in SIM_SCENARIOS:
     procs, tasks = synthetic_task_graph(scenario)
-    fast = Simulator(procs).run(tasks, FifoPolicy())
-    ref = ReferenceSimulator(procs).run(tasks, FifoPolicy())
-    assert fast.events == ref.events, scenario.name
-print("OK: vectorized simulator matches the reference on",
-      len(SIM_SCENARIOS), "benchmark graph shapes")
+    for name in sorted(POLICIES):
+        fast = Simulator(procs).run(tasks, get_policy(name))
+        ref = ReferenceSimulator(procs).run(tasks, get_policy(name))
+        assert fast.events == ref.events, (scenario.name, name)
+print("OK: simulator matches the reference on",
+      len(SIM_SCENARIOS), "benchmark graph shapes x", len(POLICIES),
+      "policies")
 '
 
 # The run-to-run diff layer (repro.diff/v1): diffing a run against

@@ -18,9 +18,9 @@ CPU fed (it will unlock future NPU work during the NPU's busy period).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
-from repro.hw.sim import SchedulingPolicy, SimContext, Task
+from repro.hw.sim import FifoPolicy, SchedulingPolicy, SimContext, Task
 
 
 def newly_ready_npu_time(task: Task, context: SimContext) -> float:
@@ -95,12 +95,8 @@ class LatencyGreedyPolicy(SchedulingPolicy):
 
     name = "latency-greedy"
 
-    def select(self, proc: str, ready: List[Task],
-               context: SimContext) -> Task:
-        return min(
-            ready,
-            key=lambda t: (t.duration_s, context.submit_index[t.task_id]),
-        )
+    def key(self, task: Task, index: int) -> Tuple[float, int]:
+        return (task.duration_s, index)
 
 
 class ChunkOrderPolicy(SchedulingPolicy):
@@ -110,10 +106,8 @@ class ChunkOrderPolicy(SchedulingPolicy):
 
     name = "chunk-order"
 
-    def select(self, proc: str, ready: List[Task],
-               context: SimContext) -> Task:
-        return min(ready, key=lambda t: (t.chunk, t.subgraph,
-                                         context.submit_index[t.task_id]))
+    def key(self, task: Task, index: int) -> Tuple[int, int, int]:
+        return (task.chunk, task.subgraph, index)
 
 
 class HeadOfLinePolicy(SchedulingPolicy):
@@ -126,9 +120,18 @@ class HeadOfLinePolicy(SchedulingPolicy):
     built on per-processor driver queues behaves, and it produces the
     ~37% NPU bubble rate the paper measures; out-of-order scheduling
     exists to remove exactly this head-of-line blocking.
+
+    ``select`` is the full pending scan, kept as the independent
+    definition :class:`~repro.hw.sim.ReferenceSimulator` runs;
+    ``in_order`` lets :class:`~repro.hw.sim.Simulator` run the same queue
+    as a per-processor heap of keys instead.
     """
 
     name = "in-order"
+    in_order = True
+
+    def key(self, task: Task, index: int) -> int:
+        return index
 
     def select(self, proc: str, ready: List[Task],
                context: SimContext):
@@ -142,7 +145,7 @@ class HeadOfLinePolicy(SchedulingPolicy):
         # pending task here is either ready or blocked.
         head = min(
             pending_here,
-            key=lambda t: context.submit_index[t.task_id],
+            key=lambda t: self.key(t, context.submit_index[t.task_id]),
         )
         ready_ids = {t.task_id for t in ready}
         if head.task_id in ready_ids:
@@ -531,21 +534,23 @@ def assemble_step(inflight: List[ChunkContinuation],
     return decode_items + prefill_items
 
 
+#: Every scheduling policy :func:`get_policy` builds, by name.
+POLICIES: Dict[str, Type[SchedulingPolicy]] = {
+    "ooo": OutOfOrderPolicy,
+    "ooo-normalized": NormalizedOooPolicy,
+    "in-order": HeadOfLinePolicy,
+    "chunk-order": ChunkOrderPolicy,
+    "fifo": FifoPolicy,
+    "latency-greedy": LatencyGreedyPolicy,
+}
+
+
 def get_policy(name: str) -> SchedulingPolicy:
-    """Policy factory: 'ooo', 'in-order', or 'latency-greedy'."""
+    """A fresh instance of the :data:`POLICIES` entry ``name``."""
     from repro.errors import SchedulingError
-    from repro.hw.sim import FifoPolicy
-    policies = {
-        "ooo": OutOfOrderPolicy,
-        "ooo-normalized": NormalizedOooPolicy,
-        "in-order": HeadOfLinePolicy,
-        "chunk-order": ChunkOrderPolicy,
-        "fifo": FifoPolicy,
-        "latency-greedy": LatencyGreedyPolicy,
-    }
     try:
-        return policies[name]()
+        return POLICIES[name]()
     except KeyError:
         raise SchedulingError(
-            f"unknown policy {name!r}; available: {sorted(policies)}"
+            f"unknown policy {name!r}; available: {sorted(POLICIES)}"
         ) from None

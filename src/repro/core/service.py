@@ -492,65 +492,24 @@ class LlmService:
         """Run one dispatched request, retrying transient faults.
 
         The engine is held from ``dispatch_s`` until the returned
-        record's ``finish_s`` (mobile NPUs don't preempt): failed
-        attempts consume :data:`FAULT_ATTEMPT_FRACTION` of the service
-        estimate, then the tier's exponential backoff elapses before the
-        next attempt.  A request that would retry past its deadline
-        gives up with status ``timeout``.
+        record's ``finish_s`` (mobile NPUs don't preempt), through the
+        retry arithmetic of :meth:`_attempt`.
 
         Tracing (when enabled) is strictly observational: spans are
         emitted alongside the clock arithmetic, never folded into it,
         so the returned record is identical with tracing on or off.
         """
         est = self._estimate(engine, req)
-        tr = self.tracer
-        track = request_track(req.request_id)
-        if tr.enabled and dispatch_s > req.arrival_s:
-            tr.span("queued", proc="service", thread=track,
-                    start_s=req.arrival_s, end_s=dispatch_s, cat="queue",
-                    tier=req.tier.name)
-        now = dispatch_s
-        attempts = 0
-        prefill_end = first_token = None
-        while True:
-            attempts += 1
-            kind = None
-            try:
-                engine.check_fault(now_s=now)
-            except TransientEngineError:
-                kind = "transient"
-            except PermanentEngineError:
-                kind = "permanent"
-            if kind is None:
-                finish, status, report = now + est.e2e_latency_s, \
-                    "completed", est
-                prefill_end = now + est.prefill.latency_s
-                first_token = prefill_end
-                if tr.enabled:
-                    self._trace_success(track, req, est, now)
-                break
-            self.metrics_registry.counter("service_faults_total",
-                                          kind=kind).inc()
-            if tr.enabled:
-                tr.span(f"attempt {attempts}", proc="service",
-                        thread=track, start_s=now,
-                        end_s=now + FAULT_ATTEMPT_FRACTION
-                        * est.e2e_latency_s,
-                        cat="retry", fault=kind, attempt=attempts)
-            now += FAULT_ATTEMPT_FRACTION * est.e2e_latency_s
-            if kind == "permanent" or attempts > req.tier.max_retries:
-                finish, status, report = now, "failed", None
-                break
-            if tr.enabled:
-                tr.span("backoff", proc="service", thread=track,
-                        start_s=now,
-                        end_s=now + req.tier.retry_backoff_s
-                        * (2 ** (attempts - 1)),
-                        cat="retry", attempt=attempts)
-            now += req.tier.retry_backoff_s * (2 ** (attempts - 1))
-            if now > req.deadline_s:
-                finish, status, report = now, "timeout", None
-                break
+        now, attempts, status = self._attempt(engine, req, est, dispatch_s)
+        if status is None:
+            finish, status, report = now + est.e2e_latency_s, "completed", est
+            prefill_end = first_token = now + est.prefill.latency_s
+            if self.tracer.enabled:
+                self._trace_success(request_track(req.request_id), req, est,
+                                    now)
+        else:
+            finish, report = now, None
+            prefill_end = first_token = None
         return ServedRequest(
             request_id=req.request_id,
             model=req.model,
@@ -563,9 +522,65 @@ class LlmService:
             retries=attempts - 1,
             prefill_end_s=prefill_end,
             first_token_s=first_token,
-            retry_held_s=(now - dispatch_s if status == "completed"
-                          else finish - dispatch_s),
+            retry_held_s=now - dispatch_s,
         )
+
+    def _attempt(self, engine: LlmNpuEngine, req: ServiceRequest,
+                 est: InferenceReport,
+                 dispatch_s: float) -> Tuple[float, int, Optional[str]]:
+        """Draw faults for one dispatched request until an attempt is
+        clean or the request gives up — the retry arithmetic both serving
+        paths share.
+
+        Each failed attempt holds the engine for
+        :data:`FAULT_ATTEMPT_FRACTION` of the service estimate, then the
+        tier's exponential backoff elapses before the next draw.  Returns
+        ``(now, attempts, status)``: ``now`` is when the clean attempt
+        starts (or the request gave up), and ``status`` is ``None`` on
+        success, ``"failed"`` on a permanent fault or exhausted retries,
+        and ``"timeout"`` when the next attempt would start past the
+        deadline.  Emits the ``queued``, ``attempt`` and ``backoff``
+        spans and the ``service_faults_total`` counter.
+        """
+        tr = self.tracer
+        track = request_track(req.request_id)
+        if tr.enabled and dispatch_s > req.arrival_s:
+            tr.span("queued", proc="service", thread=track,
+                    start_s=req.arrival_s, end_s=dispatch_s, cat="queue",
+                    tier=req.tier.name)
+        now = dispatch_s
+        attempts = 0
+        while True:
+            attempts += 1
+            kind = None
+            try:
+                engine.check_fault(now_s=now)
+            except TransientEngineError:
+                kind = "transient"
+            except PermanentEngineError:
+                kind = "permanent"
+            if kind is None:
+                return now, attempts, None
+            self.metrics_registry.counter("service_faults_total",
+                                          kind=kind).inc()
+            if tr.enabled:
+                tr.span(f"attempt {attempts}", proc="service",
+                        thread=track, start_s=now,
+                        end_s=now + FAULT_ATTEMPT_FRACTION
+                        * est.e2e_latency_s,
+                        cat="retry", fault=kind, attempt=attempts)
+            now += FAULT_ATTEMPT_FRACTION * est.e2e_latency_s
+            if kind == "permanent" or attempts > req.tier.max_retries:
+                return now, attempts, "failed"
+            if tr.enabled:
+                tr.span("backoff", proc="service", thread=track,
+                        start_s=now,
+                        end_s=now + req.tier.retry_backoff_s
+                        * (2 ** (attempts - 1)),
+                        cat="retry", attempt=attempts)
+            now += req.tier.retry_backoff_s * (2 ** (attempts - 1))
+            if now > req.deadline_s:
+                return now, attempts, "timeout"
 
     def _trace_success(self, track: str, req: ServiceRequest,
                        est: InferenceReport, start_s: float) -> None:
@@ -967,57 +982,16 @@ class LlmService:
     ) -> Tuple[Optional[ChunkContinuation], Optional[ServedRequest], float]:
         """Dispatch one request into the batch: fault prelude + state.
 
-        Mirrors :meth:`_execute`'s retry arithmetic exactly (same fault
-        draws, same attempt/backoff costs) but stops at the point the
-        successful attempt would begin, returning the request's
-        :class:`ChunkContinuation` instead of running it to completion.
-        Returns ``(state, record, now)``: ``record`` is set (and
-        ``state`` is None) when the prelude itself failed or timed out —
-        the engine was held until ``now`` either way.
+        Runs the same fault prelude as :meth:`_execute` (see
+        :meth:`_attempt`) but stops at the point the successful attempt
+        would begin, returning the request's :class:`ChunkContinuation`
+        instead of running it to completion.  Returns ``(state, record,
+        now)``: ``record`` is set (and ``state`` is None) when the
+        prelude itself failed or timed out — the engine was held until
+        ``now`` either way.
         """
         est = self._estimate(engine, req)
-        tr = self.tracer
-        track = request_track(req.request_id)
-        if tr.enabled and dispatch_s > req.arrival_s:
-            tr.span("queued", proc="service", thread=track,
-                    start_s=req.arrival_s, end_s=dispatch_s, cat="queue",
-                    tier=req.tier.name)
-        now = dispatch_s
-        attempts = 0
-        status = None
-        while True:
-            attempts += 1
-            kind = None
-            try:
-                engine.check_fault(now_s=now)
-            except TransientEngineError:
-                kind = "transient"
-            except PermanentEngineError:
-                kind = "permanent"
-            if kind is None:
-                break
-            self.metrics_registry.counter("service_faults_total",
-                                          kind=kind).inc()
-            if tr.enabled:
-                tr.span(f"attempt {attempts}", proc="service",
-                        thread=track, start_s=now,
-                        end_s=now + FAULT_ATTEMPT_FRACTION
-                        * est.e2e_latency_s,
-                        cat="retry", fault=kind, attempt=attempts)
-            now += FAULT_ATTEMPT_FRACTION * est.e2e_latency_s
-            if kind == "permanent" or attempts > req.tier.max_retries:
-                status = "failed"
-                break
-            if tr.enabled:
-                tr.span("backoff", proc="service", thread=track,
-                        start_s=now,
-                        end_s=now + req.tier.retry_backoff_s
-                        * (2 ** (attempts - 1)),
-                        cat="retry", attempt=attempts)
-            now += req.tier.retry_backoff_s * (2 ** (attempts - 1))
-            if now > req.deadline_s:
-                status = "timeout"
-                break
+        now, attempts, status = self._attempt(engine, req, est, dispatch_s)
         if status is not None:
             record = ServedRequest(
                 request_id=req.request_id, model=req.model,

@@ -4,10 +4,14 @@ Every other driver in ``repro.eval`` regenerates a *paper* result; this
 module measures how fast the reproduction's own machinery runs — the
 discrete-event simulator core (events/second), the quantized-linear hot
 path (tokens/second) and the fleet harness (devices/second).  It exists
-to gate the vectorized fast paths: ``Simulator`` must stay at least
-:data:`SIM_SPEEDUP_FLOOR` times faster than the kept-verbatim
-:class:`~repro.hw.sim.ReferenceSimulator` *while producing byte-identical
-traces* — both halves are checked here, in the same run.
+to gate the simulator's event loop: under :class:`~repro.hw.sim.FifoPolicy`
+(run, like every static-key policy, through per-processor key heaps)
+``Simulator`` must stay at least :data:`SIM_SPEEDUP_FLOOR` times faster
+than the kept-verbatim :class:`~repro.hw.sim.ReferenceSimulator` *while
+producing byte-identical traces* — both halves are checked here, in the
+same run.  The engine's default ``ooo`` policy takes the loop's
+``select`` branch instead; its host cost is measured by
+``benchmarks/host``, not here.
 
 Wall-clock throughput numbers are machine-dependent, so they are
 published under ``info`` column names (never gated by
@@ -32,7 +36,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.eval.report import Table
 
-#: Minimum vectorized-vs-reference sim-core speedup the gate enforces.
+#: Minimum Simulator-vs-reference sim-core speedup the gate enforces.
 SIM_SPEEDUP_FLOOR = 3.0
 
 
@@ -65,9 +69,9 @@ class SimScenario:
 
 
 #: The benchmarked shapes.  ``wide``/``mixed`` stress the ready-list scan
-#: that the vectorized dispatcher replaces and carry the speedup gate; a
+#: that the per-processor key heaps replace and carry the speedup gate; a
 #: pure dependency ``chain`` keeps the ready list at one entry (little for
-#: vectorization to win) and is recorded for information only.
+#: the key heaps to win) and is recorded for information only.
 SIM_SCENARIOS: Tuple[SimScenario, ...] = (
     SimScenario("wide", n_tasks=2000, dep_window=0, max_fanin=0, gated=True),
     SimScenario("mixed", n_tasks=2000, dep_window=256, max_fanin=2,
@@ -103,11 +107,11 @@ def synthetic_task_graph(scenario: SimScenario, n_procs: int = 3,
 
 
 def sim_core_speed(repeats: int = 3, seed: int = 0) -> Table:
-    """Events/second: vectorized ``Simulator`` vs ``ReferenceSimulator``.
+    """Events/second under FIFO: ``Simulator`` vs ``ReferenceSimulator``.
 
     Also re-verifies, on every benchmarked graph, that the two produce
-    identical traces — the speedup is only meaningful if the fast path
-    never changes a simulated result.
+    identical traces — the speedup is only meaningful if the loop never
+    changes a simulated result.
     """
     from repro.hw.sim import FifoPolicy, ReferenceSimulator, Simulator
 
@@ -128,7 +132,7 @@ def sim_core_speed(repeats: int = 3, seed: int = 0) -> Table:
         )
         if fast_trace.events != ref_trace.events:
             raise ReproError(
-                f"sim scenario {scenario.name!r}: vectorized trace "
+                f"sim scenario {scenario.name!r}: simulator trace "
                 f"diverged from the reference simulator"
             )
         speedup = ref_s / fast_s

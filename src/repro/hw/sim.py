@@ -195,16 +195,36 @@ class Task:
 class SchedulingPolicy:
     """Chooses which ready task a newly-idle processor runs next.
 
+    A policy whose order is fixed before the run defines :meth:`key`: a
+    static priority computed once per task from the task and its submit
+    index.  The derived :meth:`select` runs the smallest key among the
+    ready tasks, and :class:`Simulator` keeps each processor's ready set
+    as a heap of keys instead of calling it.  A policy whose choice
+    depends on the live schedule (the out-of-order heuristic) overrides
+    :meth:`select`, which the simulator then calls at every decision
+    point.
+
     ``select`` may return ``None`` to deliberately keep the processor idle
     until the next completion event — how head-of-line-blocking command
-    queues behave (see :class:`HeadOfLinePolicy`).
+    queues behave (see :class:`~repro.core.scheduler.HeadOfLinePolicy`).
+    ``in_order = True``, declared by the class that defines ``select``,
+    promises that ``select`` runs the processor's smallest-key unfinished
+    task once it is ready and idles otherwise; the simulator then keeps a
+    heap of every task on the processor and never calls ``select``.
     """
 
     name = "base"
+    in_order = False
+
+    def key(self, task: Task, index: int):
+        """Static priority of ``task`` (submit index ``index``); smallest
+        runs first.  Equal keys run in the order the tasks became ready."""
+        raise NotImplementedError
 
     def select(self, proc: str, ready: List[Task],
                context: "SimContext") -> Optional[Task]:
-        raise NotImplementedError
+        submit_index = context.submit_index
+        return min(ready, key=lambda t: self.key(t, submit_index[t.task_id]))
 
 
 class FifoPolicy(SchedulingPolicy):
@@ -213,9 +233,8 @@ class FifoPolicy(SchedulingPolicy):
 
     name = "fifo"
 
-    def select(self, proc: str, ready: List[Task],
-               context: "SimContext") -> Task:
-        return min(ready, key=lambda t: context.submit_index[t.task_id])
+    def key(self, task: Task, index: int) -> int:
+        return index
 
 
 @dataclass
@@ -245,27 +264,42 @@ class SimContext:
         return sum(1 for d in task.deps if d not in self.completed)
 
 
+def _key_order(policy: SchedulingPolicy) -> Optional[str]:
+    """How :meth:`Simulator.run` makes ``policy``'s choices.
+
+    ``"ready"`` when ``select`` is the base class's smallest-key scan,
+    ``"head"`` when the class defining ``select`` declares ``in_order``,
+    and ``None`` when ``select`` is overridden and must be called — so a
+    subclass that overrides ``select`` is always honored.
+    """
+    owner = next(c for c in type(policy).__mro__ if "select" in vars(c))
+    if owner is SchedulingPolicy:
+        return "ready"
+    if vars(owner).get("in_order", False):
+        return "head"
+    return None
+
+
 class Simulator:
     """List scheduler over a fixed set of serial processors.
 
-    Two execution strategies, both producing byte-identical traces:
+    One event loop, with the ready set kept in one of two forms:
 
-    * an **index-based fast path** for :class:`FifoPolicy` — task ids and
-      processors are interned to integer slots up front, each processor's
-      ready set is a min-heap of submit indices (FIFO selection is exactly
-      "smallest submit index"), and trace events are materialized in one
-      batch at the end.  No per-event list copies, no policy callbacks,
-      no per-task dict churn;
-    * a **generic path** for pluggable policies, sharing the reference
-      structure but feeding policies an incrementally-maintained
-      unfinished-dependency count through :attr:`SimContext.missing`
+    * for a **static-key** policy, each processor's ready set is a heap
+      of ``(key, ready order, task)``, with keys computed once per task
+      (see :meth:`SchedulingPolicy.key`).  An ``in_order`` policy's heap
+      holds every task on the processor from the start, and the top is
+      dispatched only once its dependencies are done;
+    * for a policy that overrides ``select``, each processor's ready set
+      is a list handed to ``select``, with an incrementally-maintained
+      unfinished-dependency count in :attr:`SimContext.missing`
       (``remaining_deps`` drops from O(deps) to O(1), which is the inner
       loop of the out-of-order heuristic's Eq. 5 contribution scan).
 
     :class:`ReferenceSimulator` keeps the original per-event loop as the
     executable specification; ``benchmarks/bench_sim_speed.py`` measures
-    the fast paths against it and ``tests/hw/test_sim_vectorized.py``
-    pins trace equality.
+    this loop against it and ``tests/hw/test_sim_fast_path.py`` pins
+    trace equality on every policy.
     """
 
     def __init__(self, processor_names: Iterable[str]):
@@ -299,117 +333,8 @@ class Simulator:
         """
         policy = policy if policy is not None else FifoPolicy()
         by_id = self._validate(tasks)
-        # Exact-type check: a FifoPolicy subclass may override select().
-        if type(policy) is FifoPolicy:
-            return self._run_fifo(tasks)
-        return self._run_generic(tasks, policy, by_id)
-
-    # -- FIFO fast path -------------------------------------------------------
-
-    def _run_fifo(self, tasks: List[Task]) -> Trace:
-        """Index-based FIFO schedule (selection = min submit index).
-
-        Equivalent to the generic loop under :class:`FifoPolicy` by
-        construction: FIFO selection keys (submit indices) are unique, so
-        a per-processor min-heap makes exactly the choices the reference
-        ``min()`` scan makes, and dispatch order (processors in
-        declaration order, one task per newly-idle processor) is
-        preserved, so the trace is byte-identical.
-        """
-        n = len(tasks)
-        proc_names = self.processor_names
-        proc_index = {p: i for i, p in enumerate(proc_names)}
-        n_procs = len(proc_names)
-        id_index = {t.task_id: i for i, t in enumerate(tasks)}
-        task_proc = [proc_index[t.proc] for t in tasks]
-        durations = [t.duration_s for t in tasks]
-
-        missing = [0] * n
-        dependents: List[List[int]] = [[] for _ in range(n)]
-        for i, t in enumerate(tasks):
-            unique = set(t.deps)
-            missing[i] = len(unique)
-            for d in unique:
-                dependents[id_index[d]].append(i)
-
-        ready_heaps: List[List[int]] = [[] for _ in range(n_procs)]
-        for i in range(n):
-            if missing[i] == 0:
-                ready_heaps[task_proc[i]].append(i)
-        # Initial ready sets are filled in submission order — already
-        # heap-ordered, but heapify keeps the invariant explicit.
-        for heap in ready_heaps:
-            heapq.heapify(heap)
-
-        done = [False] * n
-        proc_busy = [False] * n_procs
-        # (finish_time, seq, slot) heap of running tasks; seq breaks ties
-        # exactly like the reference's itertools.count() stream.
-        running: List[Tuple[float, int, int]] = []
-        # Dispatch log: (slot, start_s, end_s) in trace-append order.
-        dispatched: List[Tuple[int, float, float]] = []
-        seq = 0
-        now = 0.0
-        n_done = 0
-
-        heappush, heappop = heapq.heappush, heapq.heappop
-
-        def dispatch() -> None:
-            nonlocal seq
-            for p in range(n_procs):
-                if proc_busy[p]:
-                    continue
-                heap = ready_heaps[p]
-                if not heap:
-                    continue
-                i = heappop(heap)
-                proc_busy[p] = True
-                end = now + durations[i]
-                heappush(running, (end, seq, i))
-                seq += 1
-                dispatched.append((i, now, end))
-
-        dispatch()
-        while running:
-            now, _, finished = heappop(running)
-            proc_busy[task_proc[finished]] = False
-            done[finished] = True
-            n_done += 1
-            # Drain co-terminating tasks so dispatch sees all frees at once.
-            while running and running[0][0] == now:
-                _, _, other = heappop(running)
-                proc_busy[task_proc[other]] = False
-                done[other] = True
-                n_done += 1
-                for dep in dependents[other]:
-                    missing[dep] -= 1
-                    if missing[dep] == 0:
-                        heappush(ready_heaps[task_proc[dep]], dep)
-            for dep in dependents[finished]:
-                missing[dep] -= 1
-                if missing[dep] == 0:
-                    heappush(ready_heaps[task_proc[dep]], dep)
-            dispatch()
-
-        if n_done != n:
-            stuck = [t.task_id for i, t in enumerate(tasks) if not done[i]]
-            raise DependencyError(
-                f"deadlock: {len(stuck)} tasks never became ready "
-                f"(cyclic dependencies?): {stuck[:5]}"
-            )
-        trace = Trace()
-        events = trace.events
-        for i, start, end in dispatched:
-            t = tasks[i]
-            events.append(TraceEvent(t.task_id, proc_names[task_proc[i]],
-                                     start, end, t.tag, ops=t.ops))
-        trace.validate_serial()
-        return trace
-
-    # -- generic (pluggable-policy) path --------------------------------------
-
-    def _run_generic(self, tasks: List[Task], policy: SchedulingPolicy,
-                     by_id: Dict[str, Task]) -> Trace:
+        order = _key_order(policy)
+        procs = self.processor_names
         submit_index = {t.task_id: i for i, t in enumerate(tasks)}
         dependents: Dict[str, List[str]] = {t.task_id: [] for t in tasks}
         missing: Dict[str, int] = {}
@@ -422,74 +347,101 @@ class Simulator:
             for d in unique:
                 dependents[d].append(t.task_id)
 
-        ready: Dict[str, List[Task]] = {p: [] for p in self.processor_names}
-        for t in tasks:
-            if missing[t.task_id] == 0:
-                ready[t.proc].append(t)
-
+        heappush, heappop = heapq.heappush, heapq.heappop
         completed: Set[str] = set()
-        context = SimContext(
-            tasks=by_id,
-            submit_index=submit_index,
-            dependents={k: tuple(v) for k, v in dependents.items()},
-            completed=completed,
-            now_s=0.0,
-            missing=missing,
-            dup_deps=frozenset(dup_deps),
-        )
+        if order is None:
+            ready: Dict[str, List[Task]] = {p: [] for p in procs}
+            context = SimContext(
+                tasks=by_id,
+                submit_index=submit_index,
+                dependents={k: tuple(v) for k, v in dependents.items()},
+                completed=completed,
+                now_s=0.0,
+                missing=missing,
+                dup_deps=frozenset(dup_deps),
+            )
+
+            def on_ready(task: Task) -> None:
+                ready[task.proc].append(task)
+        else:
+            heaps: Dict[str, List[Tuple[object, int, Task]]] = {
+                p: [] for p in procs
+            }
+            keys = {t.task_id: policy.key(t, i) for i, t in enumerate(tasks)}
+            # Ready order breaks key ties exactly as select's min() over
+            # the ready list does.
+            pushes = itertools.count()
+
+            def push(task: Task) -> None:
+                heappush(heaps[task.proc],
+                         (keys[task.task_id], next(pushes), task))
+
+            on_ready = (lambda task: None) if order == "head" else push
+        for t in tasks:
+            if order == "head":
+                push(t)  # the command queue holds every task up front
+            elif missing[t.task_id] == 0:
+                on_ready(t)
 
         trace = Trace()
+        events = trace.events
         # (finish_time, seq, task) heap of running tasks; seq breaks ties.
         running: List[Tuple[float, int, Task]] = []
         seq = itertools.count()
-        proc_busy: Dict[str, bool] = {p: False for p in self.processor_names}
+        proc_busy: Dict[str, bool] = {p: False for p in procs}
         now = 0.0
-        n_done = 0
 
         def dispatch() -> None:
-            context.now_s = now
-            for proc in self.processor_names:
-                if proc_busy[proc] or not ready[proc]:
+            if order is None:
+                context.now_s = now
+            for proc in procs:
+                if proc_busy[proc]:
                     continue
-                task = policy.select(proc, list(ready[proc]), context)
-                if task is None:
-                    continue  # policy keeps the processor idle for now
-                if task not in ready[proc]:
-                    raise SchedulingError(
-                        f"policy {policy.name!r} selected a non-ready task"
-                    )
-                ready[proc].remove(task)
+                if order is None:
+                    if not ready[proc]:
+                        continue
+                    task = policy.select(proc, list(ready[proc]), context)
+                    if task is None:
+                        continue  # policy keeps the processor idle for now
+                    if task not in ready[proc]:
+                        raise SchedulingError(
+                            f"policy {policy.name!r} selected a non-ready "
+                            f"task"
+                        )
+                    ready[proc].remove(task)
+                else:
+                    heap = heaps[proc]
+                    if not heap or (order == "head"
+                                    and missing[heap[0][2].task_id]):
+                        continue  # empty, or head-of-line blocked
+                    task = heappop(heap)[2]
                 proc_busy[proc] = True
                 end = now + task.duration_s
-                heapq.heappush(running, (end, next(seq), task))
-                trace.add(TraceEvent(task.task_id, proc, now, end, task.tag,
-                                     ops=task.ops))
+                heappush(running, (end, next(seq), task))
+                events.append(TraceEvent(task.task_id, proc, now, end,
+                                         task.tag, ops=task.ops))
+
+        def release(task_id: str) -> None:
+            completed.add(task_id)
+            for dep_id in dependents[task_id]:
+                missing[dep_id] -= 1
+                if missing[dep_id] == 0:
+                    on_ready(by_id[dep_id])
 
         dispatch()
         while running:
-            now, _, finished = heapq.heappop(running)
+            now, _, finished = heappop(running)
             proc_busy[finished.proc] = False
-            completed.add(finished.task_id)
-            n_done += 1
-            # Drain co-terminating tasks so dispatch sees all frees at once.
+            # Drain co-terminating tasks so dispatch sees all frees at
+            # once; their dependents are released before ``finished``'s.
             while running and running[0][0] == now:
-                _, _, other = heapq.heappop(running)
+                other = heappop(running)[2]
                 proc_busy[other.proc] = False
-                completed.add(other.task_id)
-                n_done += 1
-                for dep_id in dependents[other.task_id]:
-                    missing[dep_id] -= 1
-                    if missing[dep_id] == 0:
-                        t = by_id[dep_id]
-                        ready[t.proc].append(t)
-            for dep_id in dependents[finished.task_id]:
-                missing[dep_id] -= 1
-                if missing[dep_id] == 0:
-                    t = by_id[dep_id]
-                    ready[t.proc].append(t)
+                release(other.task_id)
+            release(finished.task_id)
             dispatch()
 
-        if n_done != len(tasks):
+        if len(completed) != len(tasks):
             stuck = [t.task_id for t in tasks if t.task_id not in completed]
             raise DependencyError(
                 f"deadlock: {len(stuck)} tasks never became ready "
@@ -507,10 +459,11 @@ class ReferenceSimulator(Simulator):
     ``remaining_deps`` (no :attr:`SimContext.missing`).  The speedup
     benchmark (``benchmarks/bench_sim_speed.py``) measures
     :class:`Simulator` against this on identical task graphs, and the
-    equivalence tests require identical traces — so the fast paths can
-    never silently drift from the specified schedule.  It is also the
-    ground truth :func:`repro.obs.whatif.resimulate` checks the what-if
-    estimator's ``Simulator``-based predictions against.
+    equivalence tests require identical traces — so the key heaps and
+    incremental bookkeeping can never silently drift from the specified
+    schedule.  It is also the ground truth
+    :func:`repro.obs.whatif.resimulate` checks the what-if estimator's
+    ``Simulator``-based predictions against.
     """
 
     def run(self, tasks: List[Task],

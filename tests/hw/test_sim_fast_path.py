@@ -1,29 +1,39 @@
-"""The vectorized simulator fast path vs the reference implementation.
+"""The simulator's one event loop vs the reference implementation.
 
-``Simulator.run`` dispatches FIFO workloads through a batched,
-heap-indexed fast path and everything else through the generic loop with
-O(1) dependency bookkeeping; :class:`ReferenceSimulator` keeps the
-original per-event implementation verbatim.  These tests pin the only
-property that makes the speedup legitimate: *every* policy, on *every*
-graph shape, produces a byte-identical trace from both simulators —
-including error paths.
+``Simulator.run`` keeps a per-processor heap of static keys for policies
+whose order is fixed before the run and calls ``select`` with O(1)
+dependency bookkeeping for everything else; :class:`ReferenceSimulator`
+keeps the original per-event implementation verbatim.  These tests pin
+the only property that makes the speedup legitimate: *every* policy, on
+*every* graph shape — random, synthetic and real prefill DAGs — produces
+a byte-identical trace from both simulators, including error paths.
 """
 
 import numpy as np
 import pytest
 
+from repro import QWEN15_18B, REDMI_K70_PRO, LlmNpuEngine
+from repro.core.pipeline import lower_prefill
 from repro.core.scheduler import (
+    POLICIES,
     ChunkOrderPolicy,
     HeadOfLinePolicy,
     LatencyGreedyPolicy,
     NormalizedOooPolicy,
     OutOfOrderPolicy,
+    get_policy,
 )
 from repro.errors import DependencyError
 from repro.eval.simbench import SIM_SCENARIOS, synthetic_task_graph
-from repro.hw.sim import FifoPolicy, ReferenceSimulator, Simulator, Task
+from repro.hw.sim import (
+    FifoPolicy,
+    ReferenceSimulator,
+    SchedulingPolicy,
+    Simulator,
+    Task,
+)
 
-POLICIES = [
+POLICY_CLASSES = [
     FifoPolicy,
     OutOfOrderPolicy,
     NormalizedOooPolicy,
@@ -60,7 +70,7 @@ def random_graph(seed: int, n_tasks: int = 60):
 
 
 class TestTraceEquivalence:
-    @pytest.mark.parametrize("policy_cls", POLICIES,
+    @pytest.mark.parametrize("policy_cls", POLICY_CLASSES,
                              ids=lambda p: p.__name__)
     def test_random_graphs_match_reference(self, policy_cls):
         for seed in range(10):
@@ -93,36 +103,96 @@ class TestTraceEquivalence:
         assert fast.events == ref.events
 
     def test_duplicate_deps_tuple(self):
-        # deps with repeats hit the dup_deps recount fallback in the
-        # generic path's O(1) bookkeeping.
+        # deps with repeats hit the dup_deps recount fallback of the
+        # select branch's O(1) bookkeeping, and must leave the key heaps'
+        # readiness (distinct deps) consistent with the reference.
         tasks = [
             Task("a", "cpu", 1e-4),
             Task("b", "npu", 1e-4, deps=("a", "a")),
             Task("c", "cpu", 1e-4, deps=("b", "a", "b")),
+            Task("d", "cpu", 2e-4),
         ]
-        for policy_cls in (FifoPolicy, OutOfOrderPolicy):
+        for policy_cls in POLICY_CLASSES:
             fast = Simulator(PROCS).run(tasks, policy_cls())
             ref = ReferenceSimulator(PROCS).run(tasks, policy_cls())
-            assert fast.events == ref.events
+            assert fast.events == ref.events, policy_cls.__name__
+
+    def test_equal_keys_run_in_ready_order(self):
+        # A static key need not be unique: ties resolve in the order the
+        # tasks became ready, as the reference's min() over its ready
+        # list does.
+        class ByTag(SchedulingPolicy):
+            def key(self, task, index):
+                return task.tag
+
+        for seed in range(5):
+            tasks = random_graph(seed)
+            fast = Simulator(PROCS).run(tasks, ByTag())
+            ref = ReferenceSimulator(PROCS).run(tasks, ByTag())
+            assert fast.events == ref.events, f"graph seed {seed}"
+
+    def test_head_of_line_blocks_ready_successors(self):
+        # The cpu queue's head waits on the npu while two later cpu
+        # tasks are ready: in-order idles the cpu until the head can run,
+        # where chunk-order (same program order) skips ahead.
+        tasks = [
+            Task("x", "npu", 2.0),
+            Task("head", "cpu", 1.0, deps=("x",)),
+            Task("r1", "cpu", 1.0),
+            Task("r2", "cpu", 1.0),
+        ]
+        fast = Simulator(PROCS).run(tasks, HeadOfLinePolicy())
+        ref = ReferenceSimulator(PROCS).run(tasks, HeadOfLinePolicy())
+        assert fast.events == ref.events
+        assert [(e.task_id, e.start_s) for e in fast.events_on("cpu")] == [
+            ("head", 2.0), ("r1", 3.0), ("r2", 4.0),
+        ]
+        skip = Simulator(PROCS).run(tasks, ChunkOrderPolicy())
+        assert skip.order_on("cpu") == ["r1", "r2", "head"]
+
+
+@pytest.fixture(scope="module")
+def qwen_engine():
+    return LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO)
+
+
+class TestRealPrefillDags:
+    @pytest.mark.parametrize("shadow", [True, False],
+                             ids=["shadow", "no-shadow"])
+    @pytest.mark.parametrize("backend", ["cpu", "gpu"])
+    @pytest.mark.parametrize("n_chunks", [1, 8])
+    def test_prefill_dag_matches_reference(self, qwen_engine, n_chunks,
+                                           backend, shadow):
+        plans = qwen_engine.graph.plans_for_prompt(
+            n_chunks * qwen_engine.config.chunk_len, 0)
+        assert len(plans) == n_chunks
+        procs, tasks = lower_prefill(plans, backend, shadow, None)
+        for name in sorted(POLICIES):
+            fast = Simulator(procs).run(tasks, get_policy(name))
+            ref = ReferenceSimulator(procs).run(tasks, get_policy(name))
+            assert fast.events == ref.events, name
 
 
 class TestFastPathGate:
-    def test_fifo_subclass_uses_generic_path(self):
-        # A FifoPolicy *subclass* may override select; the exact-type
-        # gate must route it through the generic path so the override is
-        # honored.
-        class LifoPolicy(FifoPolicy):
+    @pytest.mark.parametrize(
+        "policy_cls",
+        [FifoPolicy, ChunkOrderPolicy, LatencyGreedyPolicy, HeadOfLinePolicy],
+        ids=lambda p: p.__name__)
+    def test_select_override_is_honored(self, policy_cls):
+        # A subclass of a static-key policy may override select; the
+        # simulator must then call it instead of running the key heap.
+        class LifoPolicy(policy_cls):
             def select(self, proc, ready, context):
                 return max(ready,
                            key=lambda t: context.submit_index[t.task_id])
 
         tasks = [Task(f"t{i}", "cpu", 1e-4) for i in range(6)]
         lifo = Simulator(["cpu"]).run(tasks, LifoPolicy())
-        fifo = Simulator(["cpu"]).run(tasks, FifoPolicy())
+        base = Simulator(["cpu"]).run(tasks, policy_cls())
         assert [e.task_id for e in lifo.events] == [
             f"t{i}" for i in reversed(range(6))
         ]
-        assert [e.task_id for e in fifo.events] == [
+        assert [e.task_id for e in base.events] == [
             f"t{i}" for i in range(6)
         ]
         # and the subclass still matches the reference simulator
