@@ -399,7 +399,6 @@ def cmd_fleet(args) -> int:
     and the merged incident timeline."""
     import json
 
-    from repro.errors import ReproError
     from repro.eval import (
         default_fleet,
         fleet_compliance_table,
@@ -411,17 +410,13 @@ def cmd_fleet(args) -> int:
     )
     from repro.obs import validate_fleet_doc
 
-    try:
-        report = fleet_report(
-            specs=default_fleet(args.devices, seed=args.seed,
-                                seeding=args.seeding),
-            seed=args.seed,
-            workers=args.workers,
-        )
-        validate_fleet_doc(report)
-    except ReproError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 2
+    report = fleet_report(
+        specs=default_fleet(args.devices, seed=args.seed,
+                            seeding=args.seeding),
+        seed=args.seed,
+        workers=args.workers,
+    )
+    validate_fleet_doc(report)
     for table in (fleet_percentile_table(report),
                   fleet_latency_table(report),
                   fleet_compliance_table(report),
@@ -446,20 +441,15 @@ def cmd_fleet(args) -> int:
 def cmd_monitor(args) -> int:
     """Run the seeded fault-storm scenario under SLO monitoring and
     print the compliance scoreboard + burn-rate incident timeline."""
-    from repro.errors import ReproError
     from repro.eval import fault_storm_monitor, incident_table
     from repro.eval.report import Table
     from repro.obs import validate_timeline_doc
 
-    try:
-        monitor = fault_storm_monitor(seed=args.seed,
-                                      transient_rate=args.transient_rate,
-                                      permanent_rate=args.permanent_rate)
-        doc = monitor.timeline()
-        validate_timeline_doc(doc)
-    except ReproError as exc:
-        print(f"monitor: {exc}", file=sys.stderr)
-        return 2
+    monitor = fault_storm_monitor(seed=args.seed,
+                                  transient_rate=args.transient_rate,
+                                  permanent_rate=args.permanent_rate)
+    doc = monitor.timeline()
+    validate_timeline_doc(doc)
     scoreboard = Table(
         title=f"SLO compliance — fault storm (seed={args.seed}, "
               f"transient={args.transient_rate:g}, "
@@ -487,14 +477,9 @@ def cmd_monitor(args) -> int:
 
 def cmd_bench_compare(args) -> int:
     """Compare benchmark artifacts; exit 1 on regression."""
-    from repro.obs import ArtifactError, benchdiff_json, compare_paths
-    try:
-        comparison = compare_paths(args.baseline, args.candidate,
-                                   rel_tol=args.rel_tol,
-                                   abs_tol=args.abs_tol)
-    except ArtifactError as exc:
-        print(f"bench-compare: {exc}", file=sys.stderr)
-        return 2
+    from repro.obs import benchdiff_json, compare_paths
+    comparison = compare_paths(args.baseline, args.candidate,
+                               rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     if args.json_out:
         _write_json(args.json_out, benchdiff_json(comparison))
         print(f"[delta report (repro.benchdiff/v1) -> {args.json_out}]")
@@ -579,7 +564,6 @@ def cmd_diff(args) -> int:
     attribute the deltas.  Exit 0 when identical within tolerance,
     1 when the runs differ, 2 on usage errors — mirroring
     ``bench-compare``."""
-    from repro.errors import ReproError
     from repro.obs import (
         diff_docs,
         diff_json,
@@ -588,12 +572,7 @@ def cmd_diff(args) -> int:
         load_doc,
     )
 
-    try:
-        doc = diff_docs(load_doc(args.base), load_doc(args.new),
-                        tol_s=args.tol)
-    except ReproError as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
+    doc = diff_docs(load_doc(args.base), load_doc(args.new), tol_s=args.tol)
     print(diff_table(doc, top=args.top).render())
     if doc["kind"] == "critpath" and not args.no_narrative:
         print()
@@ -616,54 +595,43 @@ def cmd_explain(args) -> int:
     breakdown within 1e-9 s."""
     import json
 
-    from repro.errors import ReproError
     from repro.obs import STEPS_SCHEMA, explain_lines, explain_table, load_doc
 
-    try:
-        if args.steplog:
-            doc = load_doc(args.steplog, STEPS_SCHEMA)
-        else:
-            from repro.eval import golden_steplog
-            doc = golden_steplog(
-                seed=args.seed, batched=args.batched,
-                prefill_priority=args.prefill_priority,
-            ).to_dict()
-        if args.steplog_out:
-            _write_json(args.steplog_out,
-                        json.dumps(doc, indent=2, sort_keys=True))
-            print(f"[step log (repro.steps/v1) -> {args.steplog_out}]")
-        if args.request_id is None:
-            print(explain_table(
-                doc, title=f"Wait attribution — {doc['source']} "
-                           f"({doc['n_requests']} requests, "
-                           f"{doc['n_steps']} steps)").render())
-        else:
-            for line in explain_lines(doc, args.request_id):
+    if args.steplog:
+        doc = load_doc(args.steplog, STEPS_SCHEMA)
+    else:
+        from repro.eval import golden_steplog
+        doc = golden_steplog(
+            seed=args.seed, batched=args.batched,
+            prefill_priority=args.prefill_priority,
+        ).to_dict()
+    if args.steplog_out:
+        _write_json(args.steplog_out,
+                    json.dumps(doc, indent=2, sort_keys=True))
+        print(f"[step log (repro.steps/v1) -> {args.steplog_out}]")
+    if args.request_id is None:
+        print(explain_table(
+            doc, title=f"Wait attribution — {doc['source']} "
+                       f"({doc['n_requests']} requests, "
+                       f"{doc['n_steps']} steps)").render())
+    else:
+        for line in explain_lines(doc, args.request_id):
+            print(line)
+        if not args.steplog and not args.no_critpath:
+            print()
+            for line in _request_narrative(args.seed, args.batched,
+                                           args.request_id):
                 print(line)
-            if not args.steplog and not args.no_critpath:
-                print()
-                for line in _request_narrative(args.seed, args.batched,
-                                               args.request_id):
-                    print(line)
-    except ReproError as exc:
-        print(f"explain: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 
 def cmd_validate(args) -> int:
     """Check saved artifacts against their schema's validator: one
     ``OK:`` line per file, exit 2 at the first invalid one."""
-    from repro.errors import ReproError
     from repro.obs.validate import describe, load_doc
 
     for path in args.files:
-        try:
-            doc = load_doc(path)
-        except ReproError as exc:
-            print(f"validate: {exc}", file=sys.stderr)
-            return 2
-        print(f"OK: {path}: {describe(doc)}")
+        print(f"OK: {path}: {describe(load_doc(path))}")
     return 0
 
 
@@ -705,69 +673,65 @@ def cmd_critpath(args) -> int:
         validate_critical_path,
     )
 
-    try:
-        if args.fleet:
-            from repro.eval import (
-                default_fleet,
-                fleet_critpath_table,
-                fleet_report,
-            )
-            report = fleet_report(
-                specs=default_fleet(args.fleet, seed=args.seed,
-                                    seeding=args.seeding),
-                seed=args.seed, workers=args.workers, critpath=True)
-            print(fleet_critpath_table(report, top=args.top).render())
-            return 0
-        if args.prompt_tokens:
-            from repro.core import LlmNpuEngine
-            from repro.obs import critical_path
-            engine = LlmNpuEngine.build(args.model, args.device)
-            inference = engine.infer(args.prompt_tokens,
-                                     args.output_tokens)
-            timeline = inference.timeline(engine.config.decode_backend)
-            path = critical_path(
-                timeline, source=f"{args.model} "
-                                 f"prompt={args.prompt_tokens}")
-            paths = [path]
-            for line in narrative_lines(path, top=args.top):
+    if args.fleet:
+        from repro.eval import (
+            default_fleet,
+            fleet_critpath_table,
+            fleet_report,
+        )
+        report = fleet_report(
+            specs=default_fleet(args.fleet, seed=args.seed,
+                                seeding=args.seeding),
+            seed=args.seed, workers=args.workers, critpath=True)
+        print(fleet_critpath_table(report, top=args.top).render())
+        return 0
+    if args.prompt_tokens:
+        from repro.core import LlmNpuEngine
+        from repro.obs import critical_path
+        engine = LlmNpuEngine.build(args.model, args.device)
+        inference = engine.infer(args.prompt_tokens,
+                                 args.output_tokens)
+        timeline = inference.timeline(engine.config.decode_backend)
+        path = critical_path(
+            timeline, source=f"{args.model} "
+                             f"prompt={args.prompt_tokens}")
+        paths = [path]
+        for line in narrative_lines(path, top=args.top):
+            print(line)
+    else:
+        from repro.eval import (
+            critpath_request_table,
+            critpath_stage_table,
+            service_critical_paths,
+        )
+        paths, _service = service_critical_paths(seed=args.seed)
+        if args.request_id is not None:
+            wanted = f"request {args.request_id}"
+            matches = [p for p in paths if p.source == wanted]
+            if not matches:
+                raise ReproError(
+                    f"request {args.request_id} has no critical "
+                    f"path (not completed, or not in the workload)")
+            for line in narrative_lines(matches[0], top=args.top):
                 print(line)
         else:
-            from repro.eval import (
-                critpath_request_table,
-                critpath_stage_table,
-                service_critical_paths,
-            )
-            paths, _service = service_critical_paths(seed=args.seed)
-            if args.request_id is not None:
-                wanted = f"request {args.request_id}"
-                matches = [p for p in paths if p.source == wanted]
-                if not matches:
-                    raise ReproError(
-                        f"request {args.request_id} has no critical "
-                        f"path (not completed, or not in the workload)")
-                for line in narrative_lines(matches[0], top=args.top):
-                    print(line)
-            else:
-                print(critpath_stage_table(
-                    paths, title=f"Critical-path attribution by stage — "
-                                 f"golden workload (seed={args.seed})"
-                ).render())
-                print()
-                print(critpath_request_table(paths).render())
-        for path in paths:
-            validate_critical_path(path)
-        if args.critpath_out:
-            doc = critpath_doc(
-                paths, source=f"golden service workload seed={args.seed}"
-                if not args.prompt_tokens else paths[0].source)
-            _write_json(args.critpath_out,
-                        json.dumps(doc, indent=2, sort_keys=True,
-                                   allow_nan=False))
-            print(f"[critpath artifact (repro.critpath/v1) -> "
-                  f"{args.critpath_out}]")
-    except ReproError as exc:
-        print(f"critpath: {exc}", file=sys.stderr)
-        return 2
+            print(critpath_stage_table(
+                paths, title=f"Critical-path attribution by stage — "
+                             f"golden workload (seed={args.seed})"
+            ).render())
+            print()
+            print(critpath_request_table(paths).render())
+    for path in paths:
+        validate_critical_path(path)
+    if args.critpath_out:
+        doc = critpath_doc(
+            paths, source=f"golden service workload seed={args.seed}"
+            if not args.prompt_tokens else paths[0].source)
+        _write_json(args.critpath_out,
+                    json.dumps(doc, indent=2, sort_keys=True,
+                               allow_nan=False))
+        print(f"[critpath artifact (repro.critpath/v1) -> "
+              f"{args.critpath_out}]")
     return 0
 
 
@@ -788,30 +752,26 @@ def cmd_whatif(args) -> int:
         speedup_from_spec,
     )
 
-    try:
-        engine = LlmNpuEngine.build(args.model, args.device)
-        perturbations = []
-        for spec in args.speedup or ():
-            perturbations.append(speedup_from_spec(spec))
-        for spec in args.reassign or ():
-            perturbations.append(reassign_from_spec(spec))
-        if args.dma_buffers:
-            from repro.hw.dma import DmaConfig
-            pert, _clone = dma_overlap_perturbation(
-                engine, args.prompt_tokens,
-                DmaConfig(buffers=args.dma_buffers),
-                output_tokens=args.output_tokens)
-            perturbations.append(pert)
-        if not perturbations:
-            raise ReproError(
-                "no perturbations given — use --speedup TAG=FACTOR, "
-                "--reassign TAG=PROC[*SCALE], and/or --dma-buffers N")
-        run = capture_engine_run(engine, args.prompt_tokens,
-                                 output_tokens=args.output_tokens)
-        report = predict(run, perturbations)
-    except ReproError as exc:
-        print(f"whatif: {exc}", file=sys.stderr)
-        return 2
+    engine = LlmNpuEngine.build(args.model, args.device)
+    perturbations = []
+    for spec in args.speedup or ():
+        perturbations.append(speedup_from_spec(spec))
+    for spec in args.reassign or ():
+        perturbations.append(reassign_from_spec(spec))
+    if args.dma_buffers:
+        from repro.hw.dma import DmaConfig
+        pert, _clone = dma_overlap_perturbation(
+            engine, args.prompt_tokens,
+            DmaConfig(buffers=args.dma_buffers),
+            output_tokens=args.output_tokens)
+        perturbations.append(pert)
+    if not perturbations:
+        raise ReproError(
+            "no perturbations given — use --speedup TAG=FACTOR, "
+            "--reassign TAG=PROC[*SCALE], and/or --dma-buffers N")
+    run = capture_engine_run(engine, args.prompt_tokens,
+                             output_tokens=args.output_tokens)
+    report = predict(run, perturbations)
     table = Table(
         title=f"What-if — {args.model}, prompt={args.prompt_tokens}, "
               f"out={args.output_tokens}",
@@ -1119,8 +1079,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a library error is a usage error: its message
+    on stderr as ``<command>: <message>``, exit status 2."""
+    from repro.errors import ReproError
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

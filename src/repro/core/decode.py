@@ -10,6 +10,8 @@ effect — without touching prefill.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 from repro.errors import EngineError
 from repro.hw.latency import (
@@ -81,11 +83,18 @@ def decode_token_s(config: ModelConfig, proc: ProcessorSpec,
 
 def decode_latency_s(config: ModelConfig, proc: ProcessorSpec,
                      prompt_len: int, output_tokens: int,
-                     options: DecodeOptions) -> float:
-    """Total decode time for ``output_tokens`` after a ``prompt_len`` prefill."""
+                     options: DecodeOptions,
+                     token_s: Optional[Callable[[int], float]] = None
+                     ) -> float:
+    """Total decode time for ``output_tokens`` after a ``prompt_len`` prefill.
+
+    ``token_s(kv_len)`` may stand in for this :func:`decode_token_s`
+    (a memoized copy of it, e.g. ``PreparedGraph.decode_token_costs``).
+    """
     if output_tokens < 0:
         raise EngineError(f"negative output_tokens {output_tokens}")
+    token_s = token_s or partial(decode_token_s, config, proc, options=options)
     total = 0.0
     for i in range(output_tokens):
-        total += decode_token_s(config, proc, prompt_len + i + 1, options)
+        total += token_s(prompt_len + i + 1)
     return total

@@ -27,7 +27,6 @@ from repro.core.residency import NpuResidencyPlan, plan_npu_residency
 from repro.core.results import InferenceReport, PrefillReport
 from repro.errors import EngineError
 from repro.graph.builder import BuildOptions, GraphBuilder, ShadowProfile
-from repro.graph.memory_plan import plan_chunk_sharing
 from repro.hw.sim import FaultInjector
 from repro.hw.soc import SocSpec, get_device
 from repro.model.config import ModelConfig, get_model_config
@@ -244,7 +243,8 @@ class LlmNpuEngine:
         )
         proc = self.device.processors[self.config.decode_backend]
         return decode_latency_s(self.model, proc, prompt_tokens,
-                                output_tokens, options)
+                                output_tokens, options,
+                                self._prepared.decode_token_costs(options))
 
     def check_fault(self, now_s: float = 0.0) -> None:
         """Consume one fault draw for an execution attempt.
@@ -272,8 +272,8 @@ class LlmNpuEngine:
         decode_s = self.decode(total_context, output_tokens)
 
         energy_model = self.device.energy_model()
-        prefill_busy = (prefill.trace.busy_by_processor()
-                        if prefill.trace else {})
+        prefill_busy = (prefill.facts.busy_by_processor
+                        if prefill.facts is not None else {})
         busy = dict(prefill_busy)
         # During prefill the float backend plays a helper role (attention
         # GEMMs / shadow MatMuls / syncs: bandwidth-bound, few cores) and
@@ -391,8 +391,8 @@ class LlmNpuEngine:
 
     def memory_bytes(self, total_tokens: int) -> int:
         """Peak memory: weights + graphs + KV cache + shadow weights."""
-        plan = plan_chunk_sharing(
-            self.graph, max(total_tokens, 1),
+        plan = self._prepared.memory_plan(
+            max(total_tokens, 1),
             shadow_weights_bytes=self.shadow_weight_bytes(),
         )
         return plan.total_bytes
@@ -405,10 +405,10 @@ class LlmNpuEngine:
         committing to a configuration).  Returns the populated
         :class:`~repro.hw.memory.SocMemory` for inspection.
         """
-        from repro.graph.memory_plan import plan_chunk_sharing as _plan
         memory = self.device.memory()
-        plan = _plan(self.graph, max(total_tokens, 1),
-                     shadow_weights_bytes=self.shadow_weight_bytes())
+        plan = self._prepared.memory_plan(
+            max(total_tokens, 1),
+            shadow_weights_bytes=self.shadow_weight_bytes())
         residency = self.npu_residency()
         # weights: all in DRAM; the resident subset also maps into the
         # NPU region; shadow float columns live in CPU space

@@ -13,18 +13,25 @@ per distinct DAG per process, not once per prompt.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
+from repro.core.decode import DecodeOptions, decode_token_s
 from repro.core.dependency import build_task_graph
 from repro.core.scheduler import get_policy
 from repro.errors import EngineError
 from repro.graph.builder import BuildOptions, ChunkPlan, GraphBuilder
 from repro.graph.chunk import ChunkSharingGraph, padded_tokens
+from repro.graph.memory_plan import (
+    GraphMemoryPlan,
+    kv_cache_bytes,
+    plan_chunk_sharing,
+)
 from repro.hw.sim import SchedulingPolicy, Simulator, Task
 from repro.hw.soc import SocSpec
-from repro.hw.trace import Trace, TraceEvent
-from repro.core.results import PrefillReport
+from repro.hw.trace import Trace
+from repro.core.results import PrefillFacts, PrefillReport
 from repro.model.config import ModelConfig
 
 #: Prepared graphs kept alive at once.  The least recently used one is
@@ -93,6 +100,7 @@ def run_prefill(
         npu_busy_s=trace.busy_seconds("npu"),
         float_busy_s=trace.busy_seconds(float_backend),
         npu_bubble_rate=trace.bubble_rate("npu"),
+        facts=PrefillFacts(tuple(trace.events)),
     )
 
 
@@ -101,24 +109,25 @@ def run_prefill(
 _MEMO_HITS = 0
 _MEMO_MISSES = 0
 
-#: A memo entry: the report without its trace, and the trace's events.
-_Stored = Tuple[PrefillReport, Tuple[TraceEvent, ...]]
-
 
 class PreparedGraph:
     """A chunk-sharing graph plus the memo of prefills simulated on it.
 
     The memo key is ``(first chunk index, n_chunks, float_backend,
     policy name, include_shadow, shadow_backend)``.  A key's first
-    sighting stores only a marker; its second stores the report and the
-    trace's frozen events, so DAGs that never repeat cost no trace
-    memory.  Hits return a fresh report and a fresh :class:`Trace` over
-    the stored events, so no caller can corrupt the memo.
+    sighting stores only a marker; its second stores the report without
+    its trace, so DAGs that never repeat cost no trace memory.  Hits
+    return a fresh report and a fresh :class:`Trace` over the stored
+    :class:`~repro.core.results.PrefillFacts` events, so no caller can
+    corrupt the memo, and share the facts.  The graph also caches the
+    per-token decode costs and the prompt-independent memory plan.
     """
 
     def __init__(self, graph: ChunkSharingGraph):
         self.graph = graph
-        self._memo: Dict[tuple, Optional[_Stored]] = {}
+        self._memo: Dict[tuple, Optional[PrefillReport]] = {}
+        self._decode_s: Dict[DecodeOptions, Callable[[int], float]] = {}
+        self._memory_plan: Optional[GraphMemoryPlan] = None
 
     @property
     def entries(self) -> int:
@@ -145,11 +154,10 @@ class PreparedGraph:
         stored = self._memo.get(key)
         if stored is not None:
             _MEMO_HITS += 1
-            report, events = stored
             return dataclasses.replace(
-                report, prompt_tokens=prompt_tokens,
+                stored, prompt_tokens=prompt_tokens,
                 padded_tokens=_padding(prompt_tokens, plans),
-                trace=Trace(list(events)))
+                trace=Trace(list(stored.facts.events)))
         _MEMO_MISSES += 1
         report = run_prefill(plans, device, prompt_tokens,
                              float_backend=float_backend, policy=policy,
@@ -157,10 +165,34 @@ class PreparedGraph:
                              shadow_backend=shadow_backend)
         # Admit on the second sighting: a DAG seen once may never recur,
         # and the trace is the bulk of an entry's memory.
-        self._memo[key] = ((dataclasses.replace(report, trace=None),
-                            tuple(report.trace.events))
+        self._memo[key] = (dataclasses.replace(report, trace=None)
                            if key in self._memo else None)
         return report
+
+    def decode_token_costs(self, options: DecodeOptions
+                           ) -> Callable[[int], float]:
+        """:func:`~repro.core.decode.decode_token_s` of the graph's model
+        on ``options.backend`` as a function of ``kv_len``, memoized."""
+        token_s = self._decode_s.get(options)
+        if token_s is None:
+            builder = self.graph.builder
+            proc = builder.device.processors[options.backend]
+            token_s = self._decode_s[options] = functools.cache(
+                functools.partial(decode_token_s, builder.config, proc,
+                                  options=options))
+        return token_s
+
+    def memory_plan(self, total_tokens: int,
+                    shadow_weights_bytes: int) -> GraphMemoryPlan:
+        """:func:`~repro.graph.memory_plan.plan_chunk_sharing` of the
+        graph; its prompt-independent part is computed once."""
+        if self._memory_plan is None:
+            self._memory_plan = plan_chunk_sharing(self.graph, 0)
+        return dataclasses.replace(
+            self._memory_plan,
+            kv_cache_bytes=kv_cache_bytes(self.graph.builder.config,
+                                          total_tokens),
+            shadow_weights_bytes=shadow_weights_bytes)
 
 
 _PREPARED: "OrderedDict[Hashable, PreparedGraph]" = OrderedDict()

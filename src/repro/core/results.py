@@ -3,10 +3,40 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.hw.energy import EnergyBreakdown
-from repro.hw.trace import Trace
+from repro.hw.trace import Trace, TraceEvent
+
+
+@dataclass(frozen=True)
+class PrefillFacts:
+    """Facts derived from one prefill schedule, each computed on first use.
+
+    Built over the schedule's frozen events, so the prefill memo entry
+    of a DAG and every report handed out for it share one instance and
+    derive each fact once; a schedule that is never asked pays nothing.
+    """
+
+    events: Tuple[TraceEvent, ...]
+
+    @cached_property
+    def busy_by_processor(self) -> Mapping[str, float]:
+        """Read-only :meth:`Trace.busy_by_processor` of the schedule."""
+        return MappingProxyType(Trace(list(self.events)).busy_by_processor())
+
+    @cached_property
+    def chunk_finish(self) -> Tuple[Tuple[int, float], ...]:
+        """``(chunk, finish time)`` of every chunk, sorted by ``(finish,
+        chunk)``: a chunk finishes with its last task, and every task id
+        starts with ``c<chunk>.`` (:mod:`repro.core.dependency`)."""
+        finish: Dict[int, float] = {}
+        for event in self.events:
+            chunk = int(event.task_id.split(".", 1)[0][1:])
+            finish[chunk] = max(finish.get(chunk, 0.0), event.end_s)
+        return tuple(sorted(finish.items(), key=lambda cf: (cf[1], cf[0])))
 
 
 @dataclass(frozen=True)
@@ -22,6 +52,9 @@ class PrefillReport:
     float_busy_s: float = 0.0
     npu_bubble_rate: float = 0.0
     graph_prepare_s: float = 0.0
+    #: Set with ``trace`` (:func:`~repro.core.pipeline.run_prefill`).
+    facts: Optional[PrefillFacts] = field(default=None, compare=False,
+                                          repr=False)
 
     @property
     def tokens_per_s(self) -> float:

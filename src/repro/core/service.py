@@ -105,28 +105,15 @@ def _prefill_chunk_costs(prefill, n_chunks: int) -> List[float]:
     if n_chunks <= 0:
         raise EngineError(f"n_chunks must be positive, got {n_chunks}")
     latency = prefill.latency_s
-    trace = prefill.trace
-    if trace is not None:
-        chunk_finish: Dict[int, float] = {}
-        for event in trace.events:
-            head = event.task_id.split(".", 1)[0]
-            if not head.startswith("c"):
-                continue
-            try:
-                chunk = int(head[1:])
-            except ValueError:
-                continue
-            chunk_finish[chunk] = max(chunk_finish.get(chunk, 0.0),
-                                      event.end_s)
-        if len(chunk_finish) == n_chunks:
-            costs: List[float] = []
-            prev = 0.0
-            for chunk in sorted(chunk_finish,
-                                key=lambda c: (chunk_finish[c], c)):
-                costs.append(chunk_finish[chunk] - prev)
-                prev = chunk_finish[chunk]
-            costs[0] += latency - prev
-            return costs
+    facts = prefill.facts
+    if facts is not None and len(facts.chunk_finish) == n_chunks:
+        costs: List[float] = []
+        prev = 0.0
+        for _chunk, finish in facts.chunk_finish:
+            costs.append(finish - prev)
+            prev = finish
+        costs[0] += latency - prev
+        return costs
     per = latency / n_chunks
     return [per] * (n_chunks - 1) + [latency - per * (n_chunks - 1)]
 
@@ -600,7 +587,7 @@ class LlmService:
             prompt_tokens=req.prompt_tokens,
             cached_tokens=req.cached_tokens, n_chunks=prefill.n_chunks,
         )
-        if prefill.trace is not None:
+        if prefill.facts is not None:
             chunk_track = f"{track} chunks"
             # latency may exceed the schedule's makespan by serial
             # graph-preparation time (the naive-engine path)
@@ -610,21 +597,9 @@ class LlmService:
                     "graph prepare", proc="service", thread=chunk_track,
                     start_s=start_s, end_s=offset, cat="prefill",
                 )
-            chunk_finish: Dict[int, float] = {}
-            for event in prefill.trace.events:
-                head = event.task_id.split(".", 1)[0]
-                if not head.startswith("c"):
-                    continue
-                try:
-                    chunk = int(head[1:])
-                except ValueError:
-                    continue
-                chunk_finish[chunk] = max(chunk_finish.get(chunk, 0.0),
-                                          event.end_s)
             prev = max(start_s, offset)
-            for chunk in sorted(chunk_finish,
-                                key=lambda c: (chunk_finish[c], c)):
-                end = offset + chunk_finish[chunk]
+            for chunk, finish in prefill.facts.chunk_finish:
+                end = offset + finish
                 self.tracer.span(
                     f"chunk {chunk}", proc="service", thread=chunk_track,
                     start_s=prev, end_s=end, cat="prefill", chunk=chunk,

@@ -75,7 +75,12 @@ def _load_norm(kind: str, arrays, prefix: str, name: str):
 
 def load_model(path: str) -> DecoderModel:
     """Load a checkpoint written by :func:`save_model`."""
-    with np.load(path) as arrays:
+    try:
+        arrays = np.load(path)
+    except OSError as exc:
+        raise ModelError(f"cannot read checkpoint {path}: "
+                         f"{exc.strerror or exc}") from exc
+    with arrays:
         if "__meta__" not in arrays:
             raise ModelError(f"{path}: not a repro checkpoint (no metadata)")
         meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import LlmNpuEngine
 from repro.core.decode import DecodeOptions, decode_latency_s, decode_token_s
+from repro.core.pipeline import clear_prepared_graphs
 from repro.errors import EngineError
 from repro.hw import REDMI_K70_PRO
 from repro.model import QWEN15_18B
@@ -76,3 +78,30 @@ class TestDecodeSequence:
     def test_negative_raises(self):
         with pytest.raises(EngineError):
             decode_latency_s(QWEN15_18B, DEV.cpu, 256, -1, DecodeOptions())
+
+
+class TestEngineDecodeCache:
+    """``engine.decode`` reads per-token costs cached on the prepared
+    graph; the sum must stay bit-identical to the uncached one."""
+
+    @pytest.mark.parametrize("quant_mode", ["shadow", "per-group",
+                                            "per-tensor"])
+    def test_cached_decode_is_bit_identical(self, quant_mode):
+        clear_prepared_graphs()
+        # Both decode backends share one prepared graph and its cache.
+        engines = [LlmNpuEngine.build(QWEN15_18B, DEV, decode_backend=b,
+                                      quant_mode=quant_mode)
+                   for b in ("cpu", "gpu")]
+        assert engines[0].graph is engines[1].graph
+        # Overlapping KV ranges, twice: later calls hit cached tokens.
+        for _ in range(2):
+            for engine in engines:
+                backend = engine.config.decode_backend
+                options = DecodeOptions(backend=backend,
+                                        per_group=quant_mode == "per-group",
+                                        group_size=engine.config.group_size)
+                for prompt in (300, 320):
+                    for out in (0, 1, 37):
+                        assert engine.decode(prompt, out) == decode_latency_s(
+                            QWEN15_18B, DEV.processors[backend], prompt,
+                            out, options)

@@ -8,6 +8,7 @@ from repro.core.hot_channels import (
     shadow_weight_bytes,
 )
 from repro.errors import EngineError
+from repro.graph.memory_plan import plan_chunk_sharing
 from repro.hw import REDMI_K60_PRO, REDMI_K70_PRO
 from repro.model import QWEN15_18B, GEMMA_2B
 
@@ -158,6 +159,16 @@ class TestHotChannels:
         shadow = engine.shadow_weight_bytes()
         total = engine.memory_bytes(1024)
         assert 0.0005 < shadow / total < 0.03
+
+    @pytest.mark.parametrize("quant_mode", ["shadow", "per-tensor"])
+    def test_cached_memory_plan_matches_plan_chunk_sharing(self, quant_mode):
+        engine = LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO,
+                                    quant_mode=quant_mode)
+        for tokens in (0, 1, 300, 300, 4096):
+            want = plan_chunk_sharing(
+                engine.graph, max(tokens, 1),
+                shadow_weights_bytes=engine.shadow_weight_bytes())
+            assert engine.memory_bytes(tokens) == want.total_bytes
 
     def test_disabled_cache_costs_more(self):
         full = shadow_weight_bytes(QWEN15_18B, 4,

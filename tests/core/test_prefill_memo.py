@@ -22,6 +22,7 @@ from repro.core.pipeline import (
     run_prefill,
 )
 from repro.core.scheduler import get_policy
+from repro.core.service import _prefill_chunk_costs
 from repro.graph.builder import BuildOptions, GraphBuilder
 from repro.hw import REDMI_K60_PRO, REDMI_K70_PRO
 from repro.hw.dma import DmaConfig
@@ -66,6 +67,22 @@ def oracle(engine, prompt_tokens, cached_tokens=0):
                        float_backend=cfg.float_backend, policy=cfg.policy,
                        include_shadow=include_shadow, extra_latency_s=extra,
                        shadow_backend=cfg.shadow_backend)
+
+
+def parsed_chunk_costs(prefill, n_chunks):
+    """Per-chunk costs as the service derived them before the facts were
+    shared: parse every task id of the trace for its chunk's finish."""
+    finish = {}
+    for event in prefill.trace.events:
+        chunk = int(event.task_id.split(".", 1)[0][1:])
+        finish[chunk] = max(finish.get(chunk, 0.0), event.end_s)
+    assert len(finish) == n_chunks
+    costs, prev = [], 0.0
+    for chunk in sorted(finish, key=lambda c: (finish[c], c)):
+        costs.append(finish[chunk] - prev)
+        prev = finish[chunk]
+    costs[0] += prefill.latency_s - prev
+    return costs
 
 
 def assert_same_report(got, want):
@@ -143,15 +160,40 @@ class TestOracleEquality:
                                         "entries": 0}
 
 
+class TestSharedFacts:
+    @pytest.mark.parametrize("policy", ["ooo", "in-order"])
+    @pytest.mark.parametrize("cached", [0, CHUNK + 1])
+    def test_facts_match_an_unmemoized_trace(self, policy, cached):
+        engine = LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO,
+                                    policy=policy)
+        want = oracle(engine, 700, cached)
+        busy = want.trace.busy_by_processor()
+        costs = parsed_chunk_costs(want, want.n_chunks)
+        # a miss, the admitting second sighting, then hits
+        reports = [engine.prefill(700, cached) for _ in range(4)]
+        assert prefill_memo_stats() == {"hits": 2, "misses": 2,
+                                        "entries": 1}
+        for report in reports:
+            assert dict(report.facts.busy_by_processor) == busy
+            assert _prefill_chunk_costs(report, report.n_chunks) == costs
+        assert reports[1].facts is reports[2].facts is reports[3].facts
+
+
 class TestMemoSafety:
     def test_mutating_a_returned_trace_does_not_leak(self):
         engine = LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO)
         want = oracle(engine, 512)
+        busy = want.trace.busy_by_processor()
+        costs = parsed_chunk_costs(want, want.n_chunks)
         for _ in range(3):
             report = engine.prefill(512)
             assert report.trace.events == want.trace.events
+            assert dict(report.facts.busy_by_processor) == busy
+            assert _prefill_chunk_costs(report, report.n_chunks) == costs
             report.trace.events.clear()
             report.trace.events.append(want.trace.events[0])
+            with pytest.raises(TypeError):
+                report.facts.busy_by_processor["npu"] = 0.0
         assert prefill_memo_stats()["hits"] == 1
 
     def test_first_sighting_retains_no_trace(self):

@@ -200,6 +200,25 @@ class TestQuantizeCommandCheckpoint:
 
 
 class TestCliErrorPaths:
+    @pytest.mark.parametrize("argv, message", [
+        (["infer", "--prompt-tokens", "0"],
+         "infer: prompt_tokens must be positive"),
+        (["infer", "--model", "nope"], "infer: unknown model 'nope'"),
+        (["profile", "--prompt-tokens", "-5"],
+         "profile: prompt_tokens must be positive"),
+        (["quantize", "--output", "{tmp}/q.npz", "--pruning-rate", "3"],
+         "quantize: pruning_rate must be in [0, 1]"),
+        (["quantize", "--input", "{tmp}/missing.npz",
+          "--output", "{tmp}/q.npz"],
+         "quantize: cannot read checkpoint {tmp}/missing.npz"),
+    ])
+    def test_library_error_is_usage_error(self, argv, message, tmp_path,
+                                          capsys):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(tmp=tmp_path))
+        assert err.count("\n") == 1
+
     def test_fleet_zero_devices_is_usage_error(self, capsys):
         assert main(["fleet", "--devices", "0"]) == 2
         err = capsys.readouterr().err
