@@ -128,58 +128,6 @@ done
 echo "OK: fleet SLO report is byte-identical with a cold and a warm" \
      "prefill memo"
 
-# Step-loop equivalence: the degenerate batching config (unbounded
-# batch, concurrency 1) must route through the per-request path and
-# reproduce the golden snapshot, trace, and profile byte-for-byte —
-# the regression gate for the continuous-batching refactor.
-seq_snapshot() {
-    python -c 'from repro.core import BatchConfig
-from repro.eval import service_golden_snapshot
-print(service_golden_snapshot(
-    seed=42, batching=BatchConfig(max_concurrency=1)))'
-}
-
-seq_trace() {
-    python -c 'from repro.core import BatchConfig
-from repro.eval import service_golden_trace
-print(service_golden_trace(
-    seed=42, batching=BatchConfig(max_concurrency=1)))'
-}
-
-seq_profile() {
-    python -c 'from repro.core import BatchConfig
-from repro.eval import golden_profile_json
-print(golden_profile_json(
-    seed=42, batching=BatchConfig(max_concurrency=1)))'
-}
-
-seq1=$(mktemp)
-seq2=$(mktemp)
-seq3=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3"' EXIT
-
-seq_snapshot > "$seq1"
-if ! diff -u "$out1" "$seq1"; then
-    echo "FAIL: sequential batching config diverges from the" \
-         "per-request golden snapshot" >&2
-    exit 1
-fi
-seq_trace > "$seq2"
-if ! cmp -s "$trace1" "$seq2"; then
-    echo "FAIL: sequential batching config diverges from the" \
-         "per-request golden trace" >&2
-    exit 1
-fi
-seq_profile > "$seq3"
-if ! cmp -s "$prof1" "$seq3"; then
-    echo "FAIL: sequential batching config diverges from the" \
-         "per-request golden profile" >&2
-    exit 1
-fi
-echo "OK: sequential batching config reproduces the per-request" \
-     "golden snapshot, trace, and profile byte-for-byte"
-
 # The step loop proper is deterministic too: the batching snapshot
 # (per-request timings + per-step batch digests + goodput) at two knob
 # settings must be byte-identical across independent processes.
@@ -217,7 +165,7 @@ steps1=$(mktemp)
 steps2=$(mktemp)
 noop1=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$fleet1" "$fleet2" "$warm1" "$warm2" \
      "$steps1" "$steps2" "$noop1"' EXIT
 
 steplog > "$steps1"
@@ -252,11 +200,11 @@ echo "OK: golden snapshot is unchanged with step logging attached" \
 # The parallel fleet fan-out is pure plumbing: fanning the per-device
 # pipelines across a worker pool (and any submission order of the same
 # specs) must reproduce the sequential report byte-for-byte, on both
-# the legacy 3-device golden and a splitmix-seeded fleet.
+# the 3-device golden and a 4-device fleet.
 par1=$(mktemp)
 par2=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$fleet1" "$fleet2" "$warm1" "$warm2" \
      "$steps1" "$steps2" "$noop1" "$par1" "$par2"' EXIT
 
 python -c 'from repro.eval import fleet_golden_json
@@ -267,20 +215,20 @@ if ! cmp -s "$fleet1" "$par1"; then
     exit 1
 fi
 
-splitmix_fleet() {
+four_device_fleet() {
     python -c "import json
 from repro.eval import default_fleet, fleet_report
 specs = default_fleet(n_devices=4, seed=42)
 print(json.dumps(fleet_report(specs=specs, seed=42, workers=$1)))"
 }
 
-splitmix_fleet 1 > "$par2"
-splitmix_fleet 3 | cmp -s "$par2" - || {
-    echo "FAIL: splitmix fleet report changes with worker count" >&2
+four_device_fleet 1 > "$par2"
+four_device_fleet 3 | cmp -s "$par2" - || {
+    echo "FAIL: 4-device fleet report changes with worker count" >&2
     exit 1
 }
 echo "OK: parallel fleet fan-out is byte-identical to sequential" \
-     "(legacy golden workers=4, splitmix workers=3)"
+     "(3-device golden workers=4, 4-device fleet workers=3)"
 
 # The critical-path document (repro.critpath/v1) is derived purely
 # from the golden workload's simulated timelines plus the service-side
@@ -295,7 +243,7 @@ print(golden_critpath_json(seed=42))'
 cp1=$(mktemp)
 cp2=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$fleet1" "$fleet2" "$warm1" "$warm2" \
      "$steps1" "$steps2" "$noop1" "$par1" "$par2" "$cp1" "$cp2"' EXIT
 
 critpath > "$cp1"
@@ -368,7 +316,7 @@ print(golden_diff_json())'
 diff1=$(mktemp)
 diff2=$(mktemp)
 trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
-     "$fleet1" "$fleet2" "$warm1" "$warm2" "$seq1" "$seq2" "$seq3" \
+     "$fleet1" "$fleet2" "$warm1" "$warm2" \
      "$steps1" "$steps2" "$noop1" "$par1" "$par2" "$cp1" "$cp2" \
      "$diff1" "$diff2"' EXIT
 

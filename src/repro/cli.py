@@ -411,8 +411,7 @@ def cmd_fleet(args) -> int:
     from repro.obs import validate_fleet_doc
 
     report = fleet_report(
-        specs=default_fleet(args.devices, seed=args.seed,
-                            seeding=args.seeding),
+        specs=default_fleet(args.devices, seed=args.seed),
         seed=args.seed,
         workers=args.workers,
     )
@@ -680,8 +679,7 @@ def cmd_critpath(args) -> int:
             fleet_report,
         )
         report = fleet_report(
-            specs=default_fleet(args.fleet, seed=args.seed,
-                                seeding=args.seeding),
+            specs=default_fleet(args.fleet, seed=args.seed),
             seed=args.seed, workers=args.workers, critpath=True)
         print(fleet_critpath_table(report, top=args.top).render())
         return 0
@@ -800,6 +798,14 @@ def cmd_whatif(args) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of every ``--seed`` and ``--top``: an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="llmnpu",
@@ -847,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     quantize.add_argument("--scheme", default="llm.npu",
                           choices=["llm.npu", "per-tensor", "per-group"])
     quantize.add_argument("--pruning-rate", type=float, default=0.85)
-    quantize.add_argument("--seed", type=int, default=7)
+    quantize.add_argument("--seed", type=_non_negative_int, default=7)
     quantize.set_defaults(func=cmd_quantize)
 
     infer = sub.add_parser("infer", help="simulate one inference")
@@ -869,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the golden service workload fully traced; export the "
              "unified Perfetto timeline, JSONL log, and metrics",
     )
-    trace.add_argument("--seed", type=int, default=42)
+    trace.add_argument("--seed", type=_non_negative_int, default=42)
     trace.add_argument("--trace-out", default="traces/service_trace.json")
     trace.add_argument("--jsonl-out", default=None,
                        help="also write the JSONL event log")
@@ -887,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attribution report: per-operator/processor time + energy, "
              "roofline, idle causes, flamegraph",
     )
-    profile.add_argument("--seed", type=int, default=42,
+    profile.add_argument("--seed", type=_non_negative_int, default=42,
                          help="golden-workload seed (service mode)")
     profile.add_argument("--model", default="Qwen1.5-1.8B")
     profile.add_argument("--device", default="Redmi K70 Pro")
@@ -899,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the repro.profile/v1 JSON report")
     profile.add_argument("--flamegraph-out", default=None,
                          help="write collapsed-stack flamegraph lines")
-    profile.add_argument("--top", type=int, default=0,
+    profile.add_argument("--top", type=_non_negative_int, default=0,
                          help="only the N biggest operators / flamegraph "
                               "stacks (0 = all)")
     profile.add_argument("--operator", default=None,
@@ -914,15 +920,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--devices", type=int, default=3,
                        help="fleet size (cycles flagship/mid/budget)")
-    fleet.add_argument("--seed", type=int, default=42)
+    fleet.add_argument("--seed", type=_non_negative_int, default=42)
     fleet.add_argument("--workers", type=int, default=1,
                        help="process-pool size for the device fan-out "
                             "(report is byte-identical for any value)")
-    fleet.add_argument("--seeding", choices=("legacy", "splitmix"),
-                       default="legacy",
-                       help="per-device seed derivation; 'legacy' is the "
-                            "seed+100*i ladder the 3-device goldens pin, "
-                            "'splitmix' decorrelates large fleets")
     fleet.add_argument("--report-out", default=None,
                        help="write the repro.fleet/v1 report JSON")
     fleet.add_argument("--alerts-out", default=None,
@@ -934,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the seeded fault-storm scenario under SLO monitoring; "
              "print compliance + burn-rate incidents",
     )
-    monitor.add_argument("--seed", type=int, default=42)
+    monitor.add_argument("--seed", type=_non_negative_int, default=42)
     monitor.add_argument("--transient-rate", type=float, default=0.35)
     monitor.add_argument("--permanent-rate", type=float, default=0.1)
     monitor.add_argument("--alerts-out", default=None,
@@ -971,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument("base", help="baseline artifact (JSON, .gz ok)")
     diff.add_argument("new", help="new-run artifact (same schema)")
-    diff.add_argument("--top", type=int, default=5,
+    diff.add_argument("--top", type=_non_negative_int, default=5,
                       help="movers per table / narrative block")
     diff.add_argument("--tol", type=float, default=1e-9,
                       help="conservation + identity tolerance in "
@@ -992,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("request_id", nargs="?", type=int, default=None,
                          help="request id to explain (omit for the "
                               "all-requests attribution table)")
-    explain.add_argument("--seed", type=int, default=42,
+    explain.add_argument("--seed", type=_non_negative_int, default=42,
                          help="golden-workload seed (ignored with "
                               "--steplog)")
     explain.add_argument("--batched", action="store_true",
@@ -1019,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     critpath.add_argument("request_id", nargs="?", type=int, default=None,
                           help="narrate one golden-workload request "
                                "(omit for the attribution tables)")
-    critpath.add_argument("--seed", type=int, default=42)
+    critpath.add_argument("--seed", type=_non_negative_int, default=42)
     critpath.add_argument("--model", default="Qwen1.5-1.8B")
     critpath.add_argument("--device", default="Redmi K70 Pro")
     critpath.add_argument("--prompt-tokens", type=int, default=0,
@@ -1027,15 +1028,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "prompt tokens instead of the golden "
                                "workload")
     critpath.add_argument("--output-tokens", type=int, default=8)
-    critpath.add_argument("--top", type=int, default=5,
+    critpath.add_argument("--top", type=_non_negative_int, default=5,
                           help="gating segments per narrative / fleet "
                                "stages to list")
     critpath.add_argument("--fleet", type=int, default=0,
                           help="roll up top gating segments across N "
                                "fleet devices instead")
-    critpath.add_argument("--seeding", choices=("legacy", "splitmix"),
-                          default="legacy",
-                          help="fleet-mode per-device seed derivation")
     critpath.add_argument("--workers", type=int, default=1,
                           help="fleet-mode process-pool size")
     critpath.add_argument("--critpath-out", default=None,

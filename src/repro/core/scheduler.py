@@ -253,10 +253,10 @@ class BatchConfig:
     accounting); a request only starts when its projected full KV
     footprint fits.
 
-    ``max_batch_tokens=None`` with ``max_concurrency=1`` is the
-    degenerate configuration: each step runs one whole request, which
-    reproduces the per-request schedule byte-for-byte (the equivalence
-    regression the determinism goldens pin down).
+    Any config, ``max_batch_tokens=None`` with ``max_concurrency=1``
+    included, runs the step loop.  That one-request-at-a-time config
+    matches the per-request schedule to floating-point telescoping
+    error, not byte for byte.
     """
 
     max_batch_tokens: Optional[int] = None
@@ -278,11 +278,6 @@ class BatchConfig:
             )
         if self.kv_budget_bytes is not None and self.kv_budget_bytes <= 0:
             raise SchedulingError("kv_budget_bytes must be positive")
-
-    @property
-    def sequential(self) -> bool:
-        """True when the step loop degenerates to per-request dispatch."""
-        return self.max_batch_tokens is None and self.max_concurrency == 1
 
 
 @dataclass(frozen=True)

@@ -890,14 +890,11 @@ class LlmService:
         result (and every admission decision) is a pure function of the
         enqueued requests, the scheduler mode, and the fault spec.
 
-        With a :class:`~repro.core.scheduler.BatchConfig` attached the
+        With any :class:`~repro.core.scheduler.BatchConfig` attached the
         loop runs at iteration granularity instead
-        (:meth:`_run_step_loop`) — unless the config is the
-        ``sequential`` degenerate case (unbounded batch, concurrency 1),
-        which is byte-identical to the per-request loop and served by
-        it.
+        (:meth:`_run_step_loop`).
         """
-        if self.batching is not None and not self.batching.sequential:
+        if self.batching is not None:
             return self._run_step_loop()
         new_records: List[ServedRequest] = []
         for model_name in sorted(self._pending):

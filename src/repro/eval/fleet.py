@@ -90,12 +90,9 @@ class FleetDeviceSpec:
 
     ``device`` is a preset name or a full :class:`SocSpec`; ``seed``
     drives both the arrival stream and (offset, so the streams stay
-    independent) the fault injector.  ``arrival`` selects the traffic
-    model: ``"golden"`` replays the committed two-tier stream (the
-    background tier arrives at a fixed cadence identical on every
-    device), ``"poisson"`` redraws the arrival clock per device via
-    :func:`jittered_arrivals` so a large fleet stops replaying
-    byte-identical background traffic.
+    independent) the fault injector.  Every device draws its arrival
+    clock from :func:`jittered_arrivals` (per-tier Poisson gaps), so no
+    two devices replay byte-identical background traffic.
     """
 
     name: str
@@ -106,7 +103,6 @@ class FleetDeviceSpec:
     n_interactive: int = 12
     n_background: int = 10
     model: str = "Qwen1.5-1.8B"
-    arrival: str = "golden"
 
     @property
     def device_name(self) -> str:
@@ -144,11 +140,10 @@ def _splitmix64(state: int) -> Tuple[int, int]:
 def seed_stream(seed: int, n: int) -> List[int]:
     """``n`` decorrelated 31-bit seeds from one fleet seed.
 
-    The legacy ``seed + 100 * i`` ladder keeps per-device RNG streams on
-    arithmetic progressions — fine for 3 devices, visibly correlated
-    fault draws at 1000 (nearby devices share low-bit structure).  A
-    SplitMix64 walk gives every device an avalanche-mixed seed while
-    staying a pure function of ``(seed, i)``.
+    A SplitMix64 walk gives every device an avalanche-mixed seed while
+    staying a pure function of ``(seed, i)``, so even 1000 devices draw
+    uncorrelated faults (an arithmetic ladder such as ``seed + 100 * i``
+    would share low-bit structure between nearby devices).
     """
     state = seed & _SPLITMIX_MASK
     out = []
@@ -207,31 +202,17 @@ def jittered_arrivals(
     return stream
 
 
-def default_fleet(n_devices: int = 3, seed: int = 42,
-                  seeding: str = "splitmix") -> Tuple[FleetDeviceSpec, ...]:
+def default_fleet(n_devices: int = 3,
+                  seed: int = 42) -> Tuple[FleetDeviceSpec, ...]:
     """A heterogeneous fleet cycling flagship / mid-tier / budget.
 
-    ``seeding`` selects the per-device seed derivation: ``"splitmix"``
-    (default — decorrelated SplitMix64 stream) or ``"legacy"`` (the
-    original ``seed + 100 * i`` ladder, which the committed 3-device
-    golden artifacts pin).  Splitmix fleets also get per-device Poisson
-    arrival jitter (``arrival="poisson"``); legacy fleets keep the
-    golden fixed-cadence stream so the committed artifacts stay
-    bit-for-bit.
+    Per-device seeds come from :func:`seed_stream`, so growing the
+    fleet never reseeds the devices it already has.
     """
     from repro.errors import ReproError
     if n_devices < 1:
         raise ReproError("fleet needs at least one device")
-    if seeding not in ("splitmix", "legacy"):
-        raise ReproError(
-            f"seeding must be 'splitmix' or 'legacy', got {seeding!r}"
-        )
-    if seeding == "splitmix":
-        seeds = seed_stream(seed, n_devices)
-        arrival = "poisson"
-    else:
-        seeds = [seed + 100 * i for i in range(n_devices)]
-        arrival = "golden"
+    seeds = seed_stream(seed, n_devices)
     specs = []
     for i in range(n_devices):
         device, transient, permanent = _FLEET_TEMPLATES[
@@ -244,7 +225,6 @@ def default_fleet(n_devices: int = 3, seed: int = 42,
             seed=seeds[i],
             transient_rate=transient,
             permanent_rate=permanent,
-            arrival=arrival,
         ))
     return tuple(specs)
 
@@ -255,24 +235,12 @@ def run_device(spec: FleetDeviceSpec,
     """Run one device's workload under monitoring.
 
     Returns ``(service, monitor)`` — the monitor holds the device's
-    sketches and incident timeline, the service the raw records.  The
-    arrival stream follows ``spec.arrival`` (golden fixed-cadence
-    replay or per-device Poisson jitter).
+    sketches and incident timeline, the service the raw records.
     """
-    from repro.errors import ReproError
     monitor = SloMonitor(slos, rules=rules)
-    if spec.arrival == "golden":
-        stream = two_tier_arrivals(n_interactive=spec.n_interactive,
-                                   n_background=spec.n_background,
-                                   seed=spec.seed)
-    elif spec.arrival == "poisson":
-        stream = jittered_arrivals(n_interactive=spec.n_interactive,
-                                   n_background=spec.n_background,
-                                   seed=spec.seed)
-    else:
-        raise ReproError(
-            f"arrival must be 'golden' or 'poisson', got "
-            f"{spec.arrival!r}")
+    stream = jittered_arrivals(n_interactive=spec.n_interactive,
+                               n_background=spec.n_background,
+                               seed=spec.seed)
     service = _run_two_tier(
         "priority", True, spec.model, spec.device, stream,
         fault_spec=spec.fault_spec(), monitor=monitor,
@@ -284,9 +252,8 @@ def run_step_probe(spec: FleetDeviceSpec,
                    monitor: Optional[SloMonitor] = None):
     """One device's batched scheduler probe: step telemetry only.
 
-    The fleet's request path stays on the legacy per-request loop (the
-    committed goldens pin its sketches and incident timelines); this
-    probe replays the device under the golden batching config over its
+    The fleet's request path runs the per-request loop; this probe
+    replays the device under the batching experiment's config over its
     seeded batched arrival stream, recording a ``repro.steps/v1`` log.
     Only the *step* stream — step records and scheduler decisions — is
     fed into ``monitor`` (:meth:`SloMonitor.observe_step` /
@@ -649,23 +616,17 @@ def fleet_report(specs: Optional[Sequence[FleetDeviceSpec]] = None,
 
 
 def fleet_golden_json(seed: int = 42, workers: int = 1) -> str:
-    """Canonical fleet report JSON — the determinism tripwire.
-
-    Pinned to the legacy seed ladder: this string is what the committed
-    golden artifacts and ``scripts/check_determinism.sh`` compare, so it
-    must not move when the default fleet seeding does.
-    """
-    specs = default_fleet(seed=seed, seeding="legacy")
-    return json.dumps(fleet_report(specs=specs, seed=seed,
-                                   workers=workers), sort_keys=True)
+    """Canonical default-fleet report JSON — the determinism tripwire
+    ``scripts/check_determinism.sh`` compares across processes."""
+    return json.dumps(fleet_report(specs=default_fleet(seed=seed),
+                                   seed=seed, workers=workers),
+                      sort_keys=True)
 
 
 def fleet_alerts_json(seed: int = 42,
                       indent: Optional[int] = None) -> str:
-    """The default fleet's merged ``repro.alerts/v1`` document (legacy
-    seeding, matching the golden report)."""
-    specs = default_fleet(seed=seed, seeding="legacy")
-    report = fleet_report(specs=specs, seed=seed)
+    """The default fleet's merged ``repro.alerts/v1`` document."""
+    report = fleet_report(specs=default_fleet(seed=seed), seed=seed)
     return json.dumps(report["alerts"], indent=indent, sort_keys=True)
 
 
@@ -847,16 +808,11 @@ def fleet_critpath_table(report: dict, top: int = 10) -> Table:
     return table
 
 
-def fleet_slo(n_devices: int = 3, seed: int = 42,
-              seeding: str = "legacy", workers: int = 1):
+def fleet_slo(n_devices: int = 3, seed: int = 42, workers: int = 1):
     """Experiment driver: fleet percentiles + per-device latency
-    (TTFT/ITL/goodput) + compliance + incidents.
-
-    Defaults to the legacy seed ladder — the committed ``BENCH_fleet_*``
-    goldens pin this experiment's 3-device numbers."""
-    report = fleet_report(
-        specs=default_fleet(n_devices, seed=seed, seeding=seeding),
-        seed=seed, workers=workers)
+    (TTFT/ITL/goodput) + compliance + incidents."""
+    report = fleet_report(specs=default_fleet(n_devices, seed=seed),
+                          seed=seed, workers=workers)
     return (fleet_percentile_table(report),
             fleet_latency_table(report),
             fleet_compliance_table(report),

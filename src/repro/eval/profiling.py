@@ -17,7 +17,7 @@ from repro.eval.report import Table
 from repro.eval.service_eval import service_golden_records
 
 
-def service_profile_report(seed: int = 42, batching=None):
+def service_profile_report(seed: int = 42):
     """The merged :class:`~repro.obs.profile.ProfileReport` of the golden
     service workload, with the service's metrics snapshot attached.
 
@@ -35,8 +35,7 @@ def service_profile_report(seed: int = 42, batching=None):
         profile_inference,
     )
     metrics = MetricsRegistry()
-    service = service_golden_records(seed=seed, metrics=metrics,
-                                     batching=batching)
+    service = service_golden_records(seed=seed, metrics=metrics)
     device = service.device
     cfg = service.config
     profiles = []
@@ -116,14 +115,13 @@ def service_profile(seed: int = 42,
     return tables
 
 
-def golden_profile_json(seed: int = 42, batching=None) -> str:
+def golden_profile_json(seed: int = 42) -> str:
     """Canonical profile-report JSON of the golden scenario (one string).
 
     A pure function of ``seed`` — no timestamps, no environment — so
     ``scripts/check_determinism.sh`` byte-diffs two independent
-    evaluations (including the sequential batching config against the
-    per-request baseline), and the traced-smoke CI job schema-checks
-    the same bytes.
+    evaluations, and the traced-smoke CI job schema-checks the same
+    bytes.
     """
-    report, _service = service_profile_report(seed=seed, batching=batching)
+    report, _service = service_profile_report(seed=seed)
     return report.to_json()

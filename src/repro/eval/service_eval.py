@@ -293,10 +293,8 @@ def service_golden_records(seed: int = 42, tracer=None, metrics=None,
     :class:`~repro.obs.MetricsRegistry` / :class:`~repro.obs.SloMonitor`
     to observe the run; the records are identical either way (the no-op
     guarantee the regression tests pin down).  ``batching`` attaches a
-    :class:`~repro.core.BatchConfig`; passing the *sequential* config
-    (unbounded batch, concurrency 1) must leave every golden byte
-    unchanged — the equivalence regression
-    ``scripts/check_determinism.sh`` enforces.
+    :class:`~repro.core.BatchConfig`, which serves the stream on the
+    step loop.
     """
     stream = two_tier_arrivals(seed=seed)
     service = _run_two_tier(
@@ -338,16 +336,14 @@ def service_breakdown(seed: int = 42, trace_out: Optional[str] = None,
     )
 
 
-def service_golden_trace(seed: int = 42,
-                         batching: Optional[BatchConfig] = None) -> str:
+def service_golden_trace(seed: int = 42) -> str:
     """Canonical unified-trace JSON of the golden scenario (one string).
 
     Runs :func:`service_golden_records` with a tracer attached and
     serializes the merged service+hardware timeline exactly as
     :func:`repro.obs.export_service_trace` writes it.  Byte-identical
     across processes for equal seeds; ``scripts/check_determinism.sh``
-    diffs two independent evaluations (and the sequential batching
-    config against the per-request baseline).
+    diffs two independent evaluations.
     """
     import json
 
@@ -357,16 +353,13 @@ def service_golden_trace(seed: int = 42,
         to_chrome_trace,
         validate_timeline,
     )
-    service = service_golden_records(seed=seed, tracer=Tracer(),
-                                     batching=batching)
+    service = service_golden_records(seed=seed, tracer=Tracer())
     events = to_chrome_trace(service_timeline(service))
     validate_timeline(events)
     return json.dumps(events, sort_keys=True)
 
 
-def service_golden_snapshot(seed: int = 42,
-                            batching: Optional[BatchConfig] = None,
-                            steplog=None) -> str:
+def service_golden_snapshot(seed: int = 42, steplog=None) -> str:
     """Canonical full-precision text dump of the golden scenario.
 
     ``scripts/check_determinism.sh`` runs this twice and diffs the
@@ -374,8 +367,7 @@ def service_golden_snapshot(seed: int = 42,
     :class:`~repro.obs.StepLogger` attached via ``steplog``, which must
     not change a byte (observation is a no-op).
     """
-    service = service_golden_records(seed=seed, batching=batching,
-                                     steplog=steplog)
+    service = service_golden_records(seed=seed, steplog=steplog)
     lines = []
     for r in service.requests:
         lines.append(

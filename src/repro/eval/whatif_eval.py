@@ -40,9 +40,9 @@ from repro.obs.whatif import (
 )
 
 
-def service_critical_paths(seed: int = 42, batching=None):
+def service_critical_paths(seed: int = 42):
     """Critical paths of every completed golden-workload request."""
-    service = service_golden_records(seed=seed, batching=batching)
+    service = service_golden_records(seed=seed)
     decode_backend = service.config.decode_backend
     paths = []
     for record in service.requests:

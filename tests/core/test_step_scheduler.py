@@ -32,11 +32,7 @@ from repro.core import (  # noqa: E402
     TierPolicy,
     assemble_step,
 )
-from repro.eval import (  # noqa: E402
-    service_golden_records,
-    service_golden_snapshot,
-    service_golden_trace,
-)
+from repro.eval import service_golden_records  # noqa: E402
 from repro.graph import chunk_token_lengths  # noqa: E402
 
 MODEL = "Qwen1.5-1.8B"
@@ -67,10 +63,7 @@ config_strategy = st.tuples(
     st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     st.floats(min_value=0.0, max_value=1.0,
               allow_nan=False, allow_infinity=False),
-).filter(
-    # (None budget, concurrency 1) is the degenerate sequential config
-    # that routes through the legacy per-request path — no step records
-    lambda cfg: not (cfg[0] is None and cfg[1] == 1))
+)
 
 
 def run_batched(reqs, max_batch_tokens, max_concurrency,
@@ -227,33 +220,28 @@ class TestAssembleStepUnit:
 
 
 class TestSequentialEquivalence:
-    """The degenerate batching config reproduces the per-request path."""
-
-    def test_sequential_config_is_byte_identical(self):
-        seq = BatchConfig(max_concurrency=1)
-        assert seq.sequential
-        assert service_golden_snapshot(
-            batching=seq) == service_golden_snapshot()
-        assert service_golden_trace(
-            batching=seq) == service_golden_trace()
+    """The step loop at concurrency 1 reproduces the per-request path."""
 
     def test_step_loop_at_concurrency_one_matches_legacy(self):
         """A genuine step loop with one resident request and an
-        unbounded effective budget replays the legacy schedule to
-        floating-point telescoping error."""
+        unbounded effective budget (a huge one, or none at all) replays
+        the legacy schedule to floating-point telescoping error."""
         base = service_golden_records()
-        stepped = service_golden_records(
-            batching=BatchConfig(max_batch_tokens=1 << 30,
-                                 max_concurrency=1))
-        assert [r.request_id for r in stepped.requests] \
-            == [r.request_id for r in base.requests]
-        for a, b in zip(base.requests, stepped.requests):
-            assert a.status == b.status
-            assert a.retries == b.retries
-            assert math.isclose(a.finish_s, b.finish_s, abs_tol=1e-9)
-            if a.status == "completed":
-                assert math.isclose(a.start_s, b.start_s,
+        for budget in (1 << 30, None):
+            stepped = service_golden_records(
+                batching=BatchConfig(max_batch_tokens=budget,
+                                     max_concurrency=1))
+            assert stepped.steps, f"budget={budget} ran no step loop"
+            assert [r.request_id for r in stepped.requests] \
+                == [r.request_id for r in base.requests]
+            for a, b in zip(base.requests, stepped.requests):
+                assert a.status == b.status
+                assert a.retries == b.retries
+                assert math.isclose(a.finish_s, b.finish_s,
                                     abs_tol=1e-9)
+                if a.status == "completed":
+                    assert math.isclose(a.start_s, b.start_s,
+                                        abs_tol=1e-9)
 
 
 class TestCrossContamination:

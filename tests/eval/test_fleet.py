@@ -29,10 +29,7 @@ def fleet_runs():
 
 @pytest.fixture(scope="module")
 def report():
-    # Legacy seeding: these assertions pin the original 3-device golden
-    # behaviour (the splitmix stream is covered separately below).
-    return fleet_report(specs=default_fleet(seed=42, seeding="legacy"),
-                        seed=42)
+    return fleet_report(specs=default_fleet(seed=42), seed=42)
 
 
 class TestMergeEqualsPooled:
@@ -160,12 +157,10 @@ class TestDefaultFleet:
 
 
 class TestArrivalJitter:
-    """Satellite: per-device Poisson arrival jitter for splitmix fleets.
+    """Per-device Poisson arrival jitter, which every fleet device runs.
 
     The jitter redraws *when* requests land, never *what* they are —
-    the golden workload samples survive verbatim, and the legacy
-    seeding ladder stays on the fixed golden cadence so committed
-    fleet goldens remain bit-for-bit.
+    the golden workload samples survive verbatim.
     """
 
     def test_jitter_preserves_golden_workload(self):
@@ -198,30 +193,25 @@ class TestArrivalJitter:
             assert all(t > 0 for t in times)
 
     def test_splitmix_fleet_gets_poisson_arrivals(self):
-        for spec in default_fleet(n_devices=4, seed=42,
-                                  seeding="splitmix"):
-            assert spec.arrival == "poisson"
-
-    def test_legacy_fleet_keeps_golden_arrivals(self):
-        for spec in default_fleet(n_devices=3, seed=42,
-                                  seeding="legacy"):
-            assert spec.arrival == "golden"
-
-    def test_run_device_rejects_unknown_arrival(self):
-        from dataclasses import replace
-
-        from repro.errors import ReproError
-        spec = replace(default_fleet(n_devices=1, seed=42)[0],
-                       arrival="bursty")
-        with pytest.raises(ReproError):
-            run_device(spec)
+        from repro.eval import jittered_arrivals
+        spec = default_fleet(n_devices=1, seed=42)[0]
+        service, _monitor = run_device(spec)
+        stream = jittered_arrivals(n_interactive=spec.n_interactive,
+                                   n_background=spec.n_background,
+                                   seed=spec.seed)
+        # arrivals count from the engine's service-ready instant
+        ready_s = min(r.arrival_s for r in service.requests) \
+            - min(t for _, _, t in stream)
+        assert [r.arrival_s for r in service.requests] == pytest.approx(
+            [ready_s + t for _, _, t in stream], abs=1e-9)
 
     def test_poisson_devices_diverge_where_golden_clones_agree(self):
-        # two splitmix devices on the same model/device pair used to
-        # replay byte-identical workloads; jitter breaks the tie
-        specs = [s for s in default_fleet(n_devices=6, seed=42)
-                 if s.arrival == "poisson"][:2]
-        assert len(specs) == 2
+        # two devices on the same model/device pair (templates cycle
+        # every three) would replay byte-identical background traffic
+        # on the fixed golden cadence; jitter breaks the tie
+        fleet = default_fleet(n_devices=6, seed=42)
+        specs = [fleet[0], fleet[3]]
+        assert specs[0].device_name == specs[1].device_name
         finishes = []
         for spec in specs:
             service, _monitor = run_device(spec)

@@ -35,7 +35,7 @@ class TestSeedStream:
         seeds = seed_stream(42, 1000)
         assert len(set(seeds)) == 1000
         assert all(0 <= s < 2 ** 31 for s in seeds)
-        # no arithmetic-progression structure like the legacy ladder
+        # no arithmetic-progression structure like a seed + 100*i ladder
         gaps = {b - a for a, b in zip(seeds, seeds[1:])}
         assert len(gaps) > 900
 
@@ -48,14 +48,6 @@ class TestDefaultFleetSeeding:
         specs = default_fleet(n_devices=5, seed=42)
         assert [s.seed for s in specs] == seed_stream(42, 5)
 
-    def test_legacy_ladder_preserved(self):
-        # The committed 3-device goldens pin the original ladder.
-        specs = default_fleet(n_devices=3, seed=42, seeding="legacy")
-        assert [s.seed for s in specs] == [42, 142, 242]
-
-    def test_unknown_seeding_rejected(self):
-        with pytest.raises(ReproError, match="seeding"):
-            default_fleet(n_devices=3, seeding="fibonacci")
 
 
 @pytest.fixture(scope="module")

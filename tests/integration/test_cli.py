@@ -219,6 +219,34 @@ class TestCliErrorPaths:
         assert err.startswith(message.format(tmp=tmp_path))
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--seed", "-1"],
+        ["critpath", "--seed", "-1"],
+        ["explain", "--seed", "-1"],
+        ["profile", "--seed", "-1"],
+        ["monitor", "--seed", "-1"],
+        ["trace", "--seed", "x"],
+        ["quantize", "--output", "q.npz", "--seed", "-1"],
+        ["critpath", "--prompt-tokens", "300", "--top", "-1"],
+        ["profile", "--top", "-1"],
+        ["diff", "a.json", "b.json", "--top", "-1"],
+    ])
+    def test_negative_count_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a non-negative integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fleet", "critpath"])
+    def test_seeding_option_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seeding=splitmix"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seeding" in \
+            capsys.readouterr().err
+
     def test_fleet_zero_devices_is_usage_error(self, capsys):
         assert main(["fleet", "--devices", "0"]) == 2
         err = capsys.readouterr().err
