@@ -666,12 +666,12 @@ def cmd_critpath(args) -> int:
     import json
 
     from repro.errors import ReproError
-    from repro.obs import (
-        critpath_doc,
-        narrative_lines,
-        validate_critical_path,
-    )
+    from repro.obs import critpath_doc, narrative_lines
 
+    if args.request_id is not None and (args.fleet or args.prompt_tokens):
+        raise ReproError(
+            "request_id narrates a golden-workload request; it cannot be "
+            "combined with --prompt-tokens or --fleet")
     if args.fleet:
         from repro.eval import (
             default_fleet,
@@ -719,8 +719,6 @@ def cmd_critpath(args) -> int:
             ).render())
             print()
             print(critpath_request_table(paths).render())
-    for path in paths:
-        validate_critical_path(path)
     if args.critpath_out:
         doc = critpath_doc(
             paths, source=f"golden service workload seed={args.seed}"

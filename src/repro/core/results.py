@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.hw.energy import EnergyBreakdown
 from repro.hw.trace import Trace, TraceEvent
@@ -18,9 +19,25 @@ class PrefillFacts:
     Built over the schedule's frozen events, so the prefill memo entry
     of a DAG and every report handed out for it share one instance and
     derive each fact once; a schedule that is never asked pays nothing.
+    Layers above ``core`` keep their own facts here with :meth:`derive`.
     """
 
     events: Tuple[TraceEvent, ...]
+    _derived: Dict[Hashable, Any] = field(default_factory=dict, init=False,
+                                          compare=False, repr=False)
+
+    def derive(self, key: Hashable,
+               build: Callable[["PrefillFacts"], Any]) -> Any:
+        """The fact stored under ``key``, ``build(self)`` on first use.
+
+        ``build`` must be a pure function of the events; the value is
+        shared by every holder of these facts, so it must not be mutated.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     @cached_property
     def busy_by_processor(self) -> Mapping[str, float]:
@@ -114,24 +131,29 @@ class InferenceReport:
         schedule followed by one event per decoded token on the decode
         backend; export with ``.save_chrome_trace(path)``.
         """
-        from repro.hw.trace import Trace, TraceEvent
         timeline = Trace()
         start = 0.0
         if self.prefill.trace is not None:
             for event in self.prefill.trace.events:
                 timeline.add(event)
             start = self.prefill.trace.makespan_s
-        if self.output_tokens > 0:
-            per_token = self.decode_latency_s / self.output_tokens
-            for i in range(self.output_tokens):
-                timeline.add(TraceEvent(
-                    task_id=f"decode.t{i}",
-                    proc=decode_backend,
-                    start_s=start + i * per_token,
-                    end_s=start + (i + 1) * per_token,
-                    tag="decode",
-                ))
+        for event in self.decode_steps(decode_backend, start):
+            timeline.add(event)
         return timeline
+
+    def decode_steps(self, decode_backend: str,
+                     start_s: float) -> List[TraceEvent]:
+        """The :meth:`timeline` decode events: one per output token on
+        ``decode_backend``, each ``tpot_s`` long, back to back from
+        ``start_s``."""
+        if self.output_tokens <= 0:
+            return []
+        per_token = self.decode_latency_s / self.output_tokens
+        return [TraceEvent(task_id=f"decode.t{i}", proc=decode_backend,
+                           start_s=start_s + i * per_token,
+                           end_s=start_s + (i + 1) * per_token,
+                           tag="decode")
+                for i in range(self.output_tokens)]
 
     def summary(self) -> str:
         """One-line human-readable summary."""

@@ -27,6 +27,16 @@ traced end-to-end latency *exactly* up to float re-association, which
 the golden artifact).  Off-path events get a per-segment slack from a
 latest-finish backward pass over the schedule-fixed DAG.
 
+Extraction has three parts: a structural index of the event set
+(:class:`_EventIndex`), the backward gating walk and the latest-finish
+pass.  A served request's timeline is a prefill schedule followed by
+its decode steps, and the schedule repeats across requests (the prefill
+memo, :mod:`repro.core.pipeline`).  So :func:`request_critical_path`
+keeps each schedule's index and the gating chain that ends where decode
+starts in the schedule's :class:`~repro.core.results.PrefillFacts`, and
+per request only appends the decode steps and runs the latest-finish
+pass, whose values depend on the decode durations.
+
 Documents serialize under ``repro.critpath/v1`` with fully
 deterministic bytes; :func:`validate_critpath_doc` checks a saved one
 (``llmnpu validate``), running :func:`validate_critical_path` on every
@@ -37,8 +47,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -120,7 +132,11 @@ class SlackRecord:
 
 @dataclass(frozen=True)
 class CriticalPath:
-    """The gating chain of one timeline, origin to last finisher."""
+    """The gating chain of one timeline, origin to last finisher.
+
+    The roll-ups (``work_s``, ``wait_s``, :meth:`by_proc`,
+    :meth:`by_tag`) are computed once per path.
+    """
 
     source: str
     origin_s: float
@@ -129,11 +145,11 @@ class CriticalPath:
     slack: Tuple[SlackRecord, ...]
     n_events: int
 
-    @property
+    @cached_property
     def work_s(self) -> float:
         return sum(s.duration_s for s in self.segments)
 
-    @property
+    @cached_property
     def wait_s(self) -> float:
         return sum(s.wait_s for s in self.segments)
 
@@ -141,20 +157,25 @@ class CriticalPath:
     def end_s(self) -> float:
         return self.segments[-1].end_s if self.segments else self.origin_s
 
+    @cached_property
+    def _shares(self) -> Tuple[Dict[str, float], Dict[str, float]]:
+        by_proc: Dict[str, float] = {}
+        by_tag: Dict[str, float] = {}
+        for s in self.segments:
+            duration = s.duration_s
+            by_proc[s.proc] = by_proc.get(s.proc, 0.0) + duration
+            tag = s.tag or "task"
+            by_tag[tag] = by_tag.get(tag, 0.0) + duration
+        return ({k: by_proc[k] for k in sorted(by_proc)},
+                {k: by_tag[k] for k in sorted(by_tag)})
+
     def by_proc(self) -> Dict[str, float]:
         """On-path seconds per processor (sorted keys)."""
-        acc: Dict[str, float] = {}
-        for s in self.segments:
-            acc[s.proc] = acc.get(s.proc, 0.0) + s.duration_s
-        return {k: acc[k] for k in sorted(acc)}
+        return dict(self._shares[0])
 
     def by_tag(self) -> Dict[str, float]:
         """On-path seconds per operator tag (sorted keys)."""
-        acc: Dict[str, float] = {}
-        for s in self.segments:
-            tag = s.tag or "task"
-            acc[tag] = acc.get(tag, 0.0) + s.duration_s
-        return {k: acc[k] for k in sorted(acc)}
+        return dict(self._shares[1])
 
     def to_dict(self) -> dict:
         return {
@@ -176,8 +197,90 @@ class CriticalPath:
                           allow_nan=False)
 
 
+# -- extraction: index, gating walk, latest-finish pass -----------------------
+
+#: A forward gating chain: each on-path event with the edge by which it
+#: gates the next one.
+_Chain = List[Tuple[TraceEvent, str]]
+
+
 def _sort_key(e: TraceEvent) -> Tuple[float, float, str]:
     return (e.start_s, e.end_s, e.task_id)
+
+
+class _EventIndex:
+    """The structure of one event set that neither walk nor pass changes.
+
+    Events in schedule order ``(start, end, id)``; each event's resource
+    predecessor (by task id) and the last event on each processor; the
+    by-finish list inferred gating bisects; and for the latest-finish
+    pass the successor lists (resource successors plus, with ``deps``,
+    dependency successors), a deterministic Kahn order and durations.
+    """
+
+    def __init__(self, events, deps: Dict[str, Tuple[str, ...]]):
+        self.events: List[TraceEvent] = sorted(events, key=_sort_key)
+        events = self.events
+        #: First event of each task id, for dependency edges.
+        self.by_id: Dict[str, TraceEvent] = {}
+        for e in events if deps else ():
+            self.by_id.setdefault(e.task_id, e)
+        self.resource_prev: Dict[str, Optional[TraceEvent]] = {}
+        #: Index of the last event on each processor.
+        self.last_on: Dict[str, int] = {}
+        succs = [set() for _ in events]
+        for i, e in enumerate(events):
+            prev = self.last_on.get(e.proc)
+            self.resource_prev[e.task_id] = (None if prev is None
+                                             else events[prev])
+            if prev is not None:
+                succs[prev].add(i)
+            self.last_on[e.proc] = i
+        index = {e.task_id: i for i, e in enumerate(events)}
+        for task_id, dep_ids in deps.items():
+            child = index.get(task_id)
+            if child is None:
+                continue
+            for dep_id in dep_ids:
+                parent = index.get(dep_id)
+                if parent is not None:
+                    succs[parent].add(child)
+        self.succs: List[Tuple[int, ...]] = [tuple(sorted(s))
+                                             for s in succs]
+        # For inferred gating: events by finish time, latest-eligible wins.
+        self.by_end = sorted(events,
+                             key=lambda e: (e.end_s, e.start_s, e.task_id))
+        self.end_times = [e.end_s for e in self.by_end]
+        self.makespan_s = self.end_times[-1] if events else 0.0
+        self.durations = [e.duration_s for e in events]
+        self.topo = self._kahn_order()
+
+    def _kahn_order(self) -> List[int]:
+        """A deterministic topological order of the successor DAG.
+
+        Sync fences can have ~zero duration, so plain schedule-sort
+        order is not a safe topological order.
+        """
+        events = self.events
+        in_deg = [0] * len(events)
+        for targets in self.succs:
+            for j in targets:
+                in_deg[j] += 1
+        heap = [(e.start_s, e.end_s, e.task_id, i)
+                for i, e in enumerate(events) if in_deg[i] == 0]
+        heapq.heapify(heap)
+        topo: List[int] = []
+        while heap:
+            i = heapq.heappop(heap)[3]
+            topo.append(i)
+            for j in self.succs[i]:
+                in_deg[j] -= 1
+                if in_deg[j] == 0:
+                    e = events[j]
+                    heapq.heappush(heap, (e.start_s, e.end_s, e.task_id, j))
+        if len(topo) != len(events):
+            raise CritPathError("slack pass: cycle in the schedule DAG")
+        return topo
 
 
 def _pick_parent(candidates: List[Tuple[TraceEvent, str]]
@@ -192,6 +295,142 @@ def _pick_parent(candidates: List[Tuple[TraceEvent, str]]
     return best
 
 
+def _gating_parent(ix: _EventIndex, start_s: float,
+                   prev: Optional[TraceEvent], dep_ids, visited: set,
+                   infer: bool) -> Optional[Tuple[TraceEvent, str]]:
+    """The gating parent, and its edge, of an event that starts at
+    ``start_s`` after ``prev`` on its processor, among unvisited events
+    of ``ix`` that finished by then."""
+    candidates: List[Tuple[TraceEvent, str]] = []
+    gate = start_s + _GATE_TOL_S
+    if prev is not None and prev.end_s <= gate \
+            and prev.task_id not in visited:
+        candidates.append((prev, "resource"))
+    for dep_id in dep_ids:
+        dep_event = ix.by_id.get(dep_id)
+        if dep_event is not None and dep_event.end_s <= gate \
+                and dep_id not in visited:
+            candidates.append((dep_event, "dep"))
+    if infer:
+        pos = bisect_right(ix.end_times, gate) - 1
+        while pos >= 0 and ix.by_end[pos].task_id in visited:
+            pos -= 1
+        if pos >= 0:
+            candidates.append((ix.by_end[pos], "inferred"))
+    return _pick_parent(candidates)
+
+
+def _walk(ix: _EventIndex, current: TraceEvent, edge: str,
+          deps: Dict[str, Tuple[str, ...]], infer: bool,
+          source: str) -> _Chain:
+    """The backward gating walk from ``current``, which gates whatever
+    follows it over ``edge``, returned origin first."""
+    chain: _Chain = []
+    visited = set()
+    while True:
+        if current.task_id in visited:
+            raise CritPathError(
+                f"{source}: gating cycle through {current.task_id!r}")
+        visited.add(current.task_id)
+        chain.append((current, edge))
+        parent = _gating_parent(ix, current.start_s,
+                                ix.resource_prev[current.task_id],
+                                deps.get(current.task_id, ()), visited,
+                                infer)
+        if parent is None:
+            break
+        current, edge = parent
+    chain.reverse()
+    return chain
+
+
+def _latest_finish(ix: _EventIndex, makespan_s: float,
+                   tail: Sequence[float] = (),
+                   tail_from: Optional[int] = None) -> List[float]:
+    """Latest finish of every event of ``ix`` that keeps ``makespan_s``.
+
+    A backward pass in Kahn order over the successor DAG.  ``tail`` is
+    the durations of a serial chain of events, absent from ``ix``, that
+    follows event ``tail_from`` (a request's decode steps); its latest
+    finishes fold into ``tail_from``'s.  ``min`` is exact, so any
+    topological order gives the same bits.
+    """
+    latest = [makespan_s] * len(ix.events)
+    if tail_from is not None:
+        after = makespan_s
+        for duration in reversed(tail):
+            after = min(makespan_s, after - duration)
+        latest[tail_from] = after
+    durations = ix.durations
+    for i in reversed(ix.topo):
+        best = latest[i]
+        for j in ix.succs[i]:
+            finish = latest[j] - durations[j]
+            if finish < best:
+                best = finish
+        latest[i] = best
+    return latest
+
+
+def _off_path(ix: _EventIndex, chain: _Chain) -> List[int]:
+    on_path = {event.task_id for event, _edge in chain}
+    return [i for i, e in enumerate(ix.events) if e.task_id not in on_path]
+
+
+def _segments(chain: _Chain, t0: float, prev_end: float,
+              edge: str) -> List[PathSegment]:
+    """Segments of ``chain`` re-anchored at ``t0``, the first gated by
+    ``edge`` and following ``prev_end``.
+
+    Waits are taken in the shifted frame — ``(t0 + a) - (t0 + b)`` is
+    not ``a - b`` in floats, and the telescoping invariant must hold on
+    the shifted numbers the path carries.
+    """
+    out: List[PathSegment] = []
+    for event, gates_next in chain:
+        start = t0 + event.start_s
+        end = t0 + event.end_s
+        out.append(PathSegment(
+            task_id=event.task_id, proc=event.proc, tag=event.tag or "task",
+            start_s=start, end_s=end, wait_s=start - prev_end, edge=edge,
+        ))
+        prev_end, edge = end, gates_next
+    return out
+
+
+def _slack(ix: _EventIndex, off_path: Sequence[int], latest: List[float],
+           t0: float) -> Tuple[SlackRecord, ...]:
+    """Slack records of the off-path events, re-anchored at ``t0``."""
+    out: List[SlackRecord] = []
+    for i in off_path:
+        e = ix.events[i]
+        out.append(SlackRecord(
+            task_id=e.task_id, proc=e.proc, tag=e.tag or "task",
+            start_s=t0 + e.start_s, end_s=t0 + e.end_s,
+            slack_s=latest[i] - e.end_s,
+        ))
+    return tuple(out)
+
+
+#: One timeline's extraction: index, forward chain, latest finishes,
+#: off-path event indices and the timeline's event count.
+_Parts = Tuple[_EventIndex, _Chain, List[float], List[int], int]
+
+
+def _trace_parts(trace: Trace, tasks, source: str) -> _Parts:
+    """Extract a whole trace: index it, walk back from its sink."""
+    deps: Dict[str, Tuple[str, ...]] = {}
+    if tasks is not None:
+        deps = {t.task_id: tuple(t.deps) for t in tasks}
+    ix = _EventIndex(trace.events, deps)
+    if not ix.events:
+        raise CritPathError(f"{source}: cannot attribute an empty trace")
+    sink = max(ix.events, key=lambda e: (e.end_s, e.start_s, e.task_id))
+    chain = _walk(ix, sink, "origin", deps, tasks is None, source)
+    latest = _latest_finish(ix, ix.makespan_s)
+    return ix, chain, latest, _off_path(ix, chain), len(ix.events)
+
+
 def critical_path(trace: Trace, tasks=None,
                   source: str = "trace") -> CriticalPath:
     """Extract the critical path of a :class:`~repro.hw.trace.Trace`.
@@ -203,149 +442,79 @@ def critical_path(trace: Trace, tasks=None,
     trace makespan: Σ(wait + duration) over segments equals the
     makespan up to float re-association.
     """
-    events = sorted(trace.events, key=_sort_key)
-    if not events:
-        raise CritPathError(f"{source}: cannot attribute an empty trace")
-    by_id: Dict[str, TraceEvent] = {}
-    for e in events:
-        if e.task_id not in by_id:
-            by_id[e.task_id] = e
-    resource_prev: Dict[str, Optional[TraceEvent]] = {}
-    last_on: Dict[str, TraceEvent] = {}
-    for e in events:
-        resource_prev[e.task_id] = last_on.get(e.proc)
-        last_on[e.proc] = e
-    deps: Dict[str, Tuple[str, ...]] = {}
-    if tasks is not None:
-        deps = {t.task_id: tuple(t.deps) for t in tasks}
-    # For inferred gating: events by finish time, latest-eligible wins.
-    by_end = sorted(events, key=lambda e: (e.end_s, e.start_s, e.task_id))
-    end_times = [e.end_s for e in by_end]
-
-    sink = max(events, key=lambda e: (e.end_s, e.start_s, e.task_id))
-    chain: List[Tuple[TraceEvent, str]] = []
-    visited = set()
-    current: Optional[TraceEvent] = sink
-    edge_in = "origin"
-    while current is not None:
-        if current.task_id in visited:
-            raise CritPathError(
-                f"{source}: gating cycle through {current.task_id!r}")
-        visited.add(current.task_id)
-        candidates: List[Tuple[TraceEvent, str]] = []
-        gate = current.start_s + _GATE_TOL_S
-        prev = resource_prev[current.task_id]
-        if prev is not None and prev.end_s <= gate \
-                and prev.task_id not in visited:
-            candidates.append((prev, "resource"))
-        for dep_id in deps.get(current.task_id, ()):
-            dep_event = by_id.get(dep_id)
-            if dep_event is not None and dep_event.end_s <= gate \
-                    and dep_id not in visited:
-                candidates.append((dep_event, "dep"))
-        if tasks is None:
-            pos = bisect_right(end_times, gate) - 1
-            while pos >= 0 and by_end[pos].task_id in visited:
-                pos -= 1
-            if pos >= 0:
-                candidates.append((by_end[pos], "inferred"))
-        parent = _pick_parent(candidates)
-        chain.append((current, edge_in))
-        if parent is None:
-            break
-        current, edge_in = parent[0], parent[1]
-    chain.reverse()
-    # The walk labels each node with the edge that *led to* it during
-    # the backward pass, i.e. the edge into its child; re-associate so
-    # each segment carries the edge it was gated BY.
-    segments: List[PathSegment] = []
-    prev_end = 0.0
-    prev_edge = "origin"
-    for event, _edge_to_child in chain:
-        segments.append(PathSegment(
-            task_id=event.task_id, proc=event.proc,
-            tag=event.tag or "task",
-            start_s=event.start_s, end_s=event.end_s,
-            wait_s=event.start_s - prev_end, edge=prev_edge,
-        ))
-        prev_end = event.end_s
-        prev_edge = _edge_to_child
-    on_path = {s.task_id for s in segments}
-    slack = _slack_records(events, deps, on_path, trace.makespan_s)
+    ix, chain, latest, off_path, n_events = _trace_parts(trace, tasks,
+                                                         source)
     path = CriticalPath(
         source=source,
         origin_s=0.0,
         e2e_s=trace.makespan_s,
-        segments=tuple(segments),
-        slack=tuple(slack),
-        n_events=len(events),
+        segments=tuple(_segments(chain, 0.0, 0.0, "origin")),
+        slack=_slack(ix, off_path, latest, 0.0),
+        n_events=n_events,
     )
     validate_critical_path(path)
     return path
 
 
-def _slack_records(events: Sequence[TraceEvent],
-                   deps: Dict[str, Tuple[str, ...]],
-                   on_path: set,
-                   makespan_s: float) -> List[SlackRecord]:
-    """Latest-finish backward pass over the schedule-fixed DAG.
+# -- per prefill schedule: the part of a request's path that repeats ----------
 
-    Edges are resource successors (next event on the same processor)
-    plus explicit dependency successors when the task list was given.
-    Processed in a deterministic Kahn order — sync fences can have
-    ~zero duration, so plain schedule-sort order is not a safe
-    topological order.
+
+class _ScheduleAnchor:
+    """A prefill schedule's critical-path structure toward one decode
+    backend, kept in the schedule's facts.
+
+    The first decode step starts at the schedule's makespan; its gating
+    parent, the *anchor*, is the schedule's sink or, if it finished as
+    late, the last schedule event on the decode processor.  The walk
+    back from the anchor never reaches a decode step, so the chain that
+    ends there is the same for every request that runs the schedule.
     """
-    index = {e.task_id: i for i, e in enumerate(events)}
-    succs: Dict[int, set] = {i: set() for i in range(len(events))}
-    last_on: Dict[str, int] = {}
-    for i, e in enumerate(events):
-        prev = last_on.get(e.proc)
-        if prev is not None:
-            succs[prev].add(i)
-        last_on[e.proc] = i
-    for task_id, dep_ids in deps.items():
-        child = index.get(task_id)
-        if child is None:
-            continue
-        for dep_id in dep_ids:
-            parent = index.get(dep_id)
-            if parent is not None:
-                succs[parent].add(child)
-    in_deg = [0] * len(events)
-    for i in succs:
-        for j in succs[i]:
-            in_deg[j] += 1
-    heap = [( events[i].start_s, events[i].end_s, events[i].task_id, i)
-            for i in range(len(events)) if in_deg[i] == 0]
-    heapq.heapify(heap)
-    topo: List[int] = []
-    while heap:
-        _, _, _, i = heapq.heappop(heap)
-        topo.append(i)
-        for j in sorted(succs[i]):
-            in_deg[j] -= 1
-            if in_deg[j] == 0:
-                e = events[j]
-                heapq.heappush(heap, (e.start_s, e.end_s, e.task_id, j))
-    if len(topo) != len(events):
-        raise CritPathError("slack pass: cycle in the schedule DAG")
-    latest_end = [makespan_s] * len(events)
-    for i in reversed(topo):
-        for j in succs[i]:
-            e = events[j]
-            latest_end[i] = min(latest_end[i],
-                                latest_end[j] - e.duration_s)
-    out: List[SlackRecord] = []
-    for i, e in enumerate(events):
-        if e.task_id in on_path:
-            continue
-        out.append(SlackRecord(
-            task_id=e.task_id, proc=e.proc, tag=e.tag or "task",
-            start_s=e.start_s, end_s=e.end_s,
-            slack_s=latest_end[i] - e.end_s,
-        ))
-    return out
+
+    def __init__(self, facts, decode_backend: str):
+        self.index = ix = facts.derive(
+            _EventIndex, lambda f: _EventIndex(f.events, {}))
+        source = f"prefill schedule anchor ({decode_backend} decode)"
+        self.tail_from = ix.last_on.get(decode_backend)
+        prev = None if self.tail_from is None else ix.events[self.tail_from]
+        anchor, edge = _gating_parent(ix, ix.makespan_s, prev, (), set(),
+                                      True)
+        self.chain = _walk(ix, anchor, edge, {}, True, source)
+        self.off_path = _off_path(ix, self.chain)
+        validate_critical_path(CriticalPath(
+            source=source, origin_s=0.0, e2e_s=anchor.end_s,
+            segments=tuple(_segments(self.chain, 0.0, 0.0, "origin")),
+            slack=(), n_events=len(ix.events)))
+
+
+def _schedule_parts(report, decode_backend: str) -> Optional[_Parts]:
+    """The extraction of ``report.timeline(decode_backend)`` from its
+    prefill schedule's cached structure, or None when that does not
+    apply: no shared facts, a returned trace that no longer holds the
+    facts' events, nothing decoded, or a decode step too short for the
+    gating tolerance to order."""
+    prefill = report.prefill
+    facts, trace = prefill.facts, prefill.trace
+    if (facts is None or trace is None or report.output_tokens <= 0
+            or not facts.events or len(trace.events) != len(facts.events)
+            or not all(map(operator.is_, trace.events, facts.events))):
+        return None
+    anchor = facts.derive((_ScheduleAnchor, decode_backend),
+                          lambda f: _ScheduleAnchor(f, decode_backend))
+    ix = anchor.index
+    steps = report.decode_steps(decode_backend, ix.makespan_s)
+    if any(s.end_s <= s.start_s + _GATE_TOL_S for s in steps):
+        return None
+    latest = _latest_finish(ix, steps[-1].end_s,
+                            [s.duration_s for s in steps], anchor.tail_from)
+    chain = anchor.chain + [(s, "resource") for s in steps]
+    return ix, chain, latest, anchor.off_path, len(ix.events) + len(steps)
+
+
+# -- validation ----------------------------------------------------------------
+
+_SEGMENT_CHECKED = ("task_id", "start_s", "end_s", "duration_s", "wait_s",
+                    "edge")
+_SLACK_CHECKED = ("task_id", "slack_s")
 
 
 def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
@@ -355,55 +524,59 @@ def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
     exactly ``wait`` after its predecessor's end; globally, the waits
     and durations sum to the end-to-end latency, the last finish minus
     the origin equals it too, and every wait/slack is non-negative —
-    all within ``tol_s``.
+    all within ``tol_s``.  A :class:`CriticalPath` is read field by
+    field, a dict (a saved path) key by key, with the same checks.
     """
     if isinstance(path, CriticalPath):
-        doc = path.to_dict()
+        source, origin, e2e = path.source, path.origin_s, path.e2e_s
+        segments, slack = path.segments, path.slack
+        fields, slack_fields = (operator.attrgetter(*_SEGMENT_CHECKED),
+                                operator.attrgetter(*_SLACK_CHECKED))
     else:
-        doc = path
-    segments = doc["segments"]
-    e2e = doc["e2e_s"]
-    origin = doc["origin_s"]
+        source, origin, e2e = path.get("source"), path["origin_s"], \
+            path["e2e_s"]
+        segments, slack = path["segments"], path["slack"]
+        fields, slack_fields = (operator.itemgetter(*_SEGMENT_CHECKED),
+                                operator.itemgetter(*_SLACK_CHECKED))
     if not segments:
-        raise CritPathError(f"{doc.get('source')}: path has no segments")
+        raise CritPathError(f"{source}: path has no segments")
     prev_end = origin
     total = 0.0
-    for i, seg in enumerate(segments):
-        where = f"{doc.get('source')}: segments[{i}] ({seg['task_id']})"
-        dur = seg["end_s"] - seg["start_s"]
+    for i, (task_id, start, end, duration, wait, edge) in enumerate(
+            map(fields, segments)):
+        where = f"{source}: segments[{i}] ({task_id})"
+        dur = end - start
         if dur < -tol_s:
             raise CritPathError(f"{where}: negative duration {dur!r}")
-        if abs(seg["duration_s"] - dur) > tol_s:
+        if abs(duration - dur) > tol_s:
             raise CritPathError(
-                f"{where}: duration_s {seg['duration_s']!r} != "
+                f"{where}: duration_s {duration!r} != "
                 f"end - start {dur!r}")
-        if seg["wait_s"] < -tol_s:
-            raise CritPathError(
-                f"{where}: negative wait {seg['wait_s']!r}")
-        gap = seg["start_s"] - (prev_end + seg["wait_s"])
+        if wait < -tol_s:
+            raise CritPathError(f"{where}: negative wait {wait!r}")
+        gap = start - (prev_end + wait)
         if abs(gap) > tol_s:
             raise CritPathError(
-                f"{where}: start {seg['start_s']!r} != previous end "
-                f"{prev_end!r} + wait {seg['wait_s']!r}")
-        if seg["edge"] not in PATH_EDGES:
-            raise CritPathError(
-                f"{where}: unknown edge {seg['edge']!r}")
-        total += seg["wait_s"] + seg["duration_s"]
-        prev_end = seg["end_s"]
+                f"{where}: start {start!r} != previous end "
+                f"{prev_end!r} + wait {wait!r}")
+        if edge not in PATH_EDGES:
+            raise CritPathError(f"{where}: unknown edge {edge!r}")
+        total += wait + duration
+        prev_end = end
     if abs(total - e2e) > tol_s:
         raise CritPathError(
-            f"{doc.get('source')}: segment waits + durations sum to "
+            f"{source}: segment waits + durations sum to "
             f"{total!r}, end-to-end is {e2e!r} "
             f"(residual {total - e2e:.3e} s)")
     if abs((prev_end - origin) - e2e) > tol_s:
         raise CritPathError(
-            f"{doc.get('source')}: last finish {prev_end!r} - origin "
+            f"{source}: last finish {prev_end!r} - origin "
             f"{origin!r} != e2e {e2e!r}")
-    for i, rec in enumerate(doc["slack"]):
-        if rec["slack_s"] < -tol_s:
+    for i, (task_id, slack_s) in enumerate(map(slack_fields, slack)):
+        if slack_s < -tol_s:
             raise CritPathError(
-                f"{doc.get('source')}: slack[{i}] ({rec['task_id']}): "
-                f"negative slack {rec['slack_s']!r}")
+                f"{source}: slack[{i}] ({task_id}): "
+                f"negative slack {slack_s!r}")
 
 
 _CRITPATH_DOC = {"schema": str, "source": object, "n_paths": int,
@@ -488,20 +661,6 @@ def validate_critpath_doc(doc: dict,
                                     f"the per-path sum")
 
 
-def _shift_segment(seg: PathSegment, t0: float,
-                   prev_end: float) -> PathSegment:
-    """Re-anchor a hw segment at ``t0``, recomputing the wait *in the
-    shifted frame* — ``(t0 + a) - (t0 + b)`` is not ``a - b`` in
-    floats, and the telescoping invariant must hold on the shifted
-    numbers the artifact carries."""
-    start = t0 + seg.start_s
-    end = t0 + seg.end_s
-    return PathSegment(
-        task_id=seg.task_id, proc=seg.proc, tag=seg.tag,
-        start_s=start, end_s=end, wait_s=start - prev_end,
-        edge=seg.edge,
-    )
-
 
 def request_critical_path(record, decode_backend: str = "cpu",
                           tasks=None) -> CriticalPath:
@@ -514,14 +673,23 @@ def request_critical_path(record, decode_backend: str = "cpu",
     successful attempt, and the serial graph-preparation tail (naive
     engines only).  The chain telescopes from arrival to finish: the
     conservation invariant now covers the request's full turnaround.
+
+    The prefill part comes from the schedule's cached structure when it
+    applies (see :class:`_ScheduleAnchor`); otherwise, and always with
+    ``tasks``, the whole timeline is extracted.  Both give the same
+    path.
     """
     if record.status != "completed" or record.report is None:
         raise CritPathError(
             f"request {record.request_id}: no completed report to "
             f"attribute (status {record.status!r})")
     report = record.report
-    hw = critical_path(report.timeline(decode_backend), tasks=tasks,
-                       source=f"request {record.request_id}")
+    source = f"request {record.request_id}"
+    parts = (_schedule_parts(report, decode_backend) if tasks is None
+             else None)
+    if parts is None:
+        parts = _trace_parts(report.timeline(decode_backend), tasks, source)
+    ix, chain, latest, off_path, n_events = parts
     t0 = record.finish_s - report.e2e_latency_s
     segments: List[PathSegment] = []
     prev_end = record.arrival_s
@@ -541,18 +709,9 @@ def request_critical_path(record, decode_backend: str = "cpu",
             edge="service" if segments else "origin",
         ))
         prev_end = t0
-    first_hw_edge = "service" if segments else "origin"
-    for i, seg in enumerate(hw.segments):
-        shifted = _shift_segment(seg, t0, prev_end)
-        if i == 0:
-            shifted = PathSegment(
-                task_id=shifted.task_id, proc=shifted.proc,
-                tag=shifted.tag, start_s=shifted.start_s,
-                end_s=shifted.end_s, wait_s=shifted.wait_s,
-                edge=first_hw_edge,
-            )
-        segments.append(shifted)
-        prev_end = shifted.end_s
+    segments.extend(_segments(chain, t0, prev_end,
+                              "service" if segments else "origin"))
+    prev_end = segments[-1].end_s
     prep = record.finish_s - prev_end
     if prep > 0.0:
         segments.append(PathSegment(
@@ -560,17 +719,13 @@ def request_critical_path(record, decode_backend: str = "cpu",
             start_s=prev_end, end_s=record.finish_s, wait_s=0.0,
             edge="service",
         ))
-    slack = tuple(SlackRecord(
-        task_id=r.task_id, proc=r.proc, tag=r.tag,
-        start_s=t0 + r.start_s, end_s=t0 + r.end_s, slack_s=r.slack_s,
-    ) for r in hw.slack)
     path = CriticalPath(
-        source=f"request {record.request_id}",
+        source=source,
         origin_s=record.arrival_s,
         e2e_s=record.finish_s - record.arrival_s,
         segments=tuple(segments),
-        slack=slack,
-        n_events=hw.n_events,
+        slack=_slack(ix, off_path, latest, t0),
+        n_events=n_events,
     )
     validate_critical_path(path)
     return path

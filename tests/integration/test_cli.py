@@ -247,6 +247,18 @@ class TestCliErrorPaths:
         assert "unrecognized arguments: --seeding" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [["--fleet", "1"],
+                                      ["--prompt-tokens", "300"]])
+    def test_critpath_request_id_with_other_mode_is_usage_error(
+            self, mode, capsys):
+        # The positional request narrates a golden-workload request; the
+        # fleet and single-inference modes used to drop it silently.
+        assert main(["critpath", *mode, "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("critpath: request_id narrates a "
+                              "golden-workload request")
+        assert err.count("\n") == 1
+
     def test_fleet_zero_devices_is_usage_error(self, capsys):
         assert main(["fleet", "--devices", "0"]) == 2
         err = capsys.readouterr().err

@@ -5,9 +5,14 @@ waits + durations sum to the end-to-end latency within 1e-9 s — so the
 attribution partitions latency instead of double-counting it.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import LlmNpuEngine
+from repro.core.pipeline import clear_prepared_graphs
+from repro.core.service import ServedRequest
+from repro.eval import batched_golden_service, service_golden_records
 from repro.hw.sim import Task
 from repro.hw.trace import Trace, TraceEvent
 from repro.obs import (
@@ -16,8 +21,10 @@ from repro.obs import (
     critical_path,
     critpath_doc,
     narrative_lines,
+    request_critical_path,
     validate_critical_path,
 )
+from repro.obs.critical_path import SlackRecord, _EventIndex, _ScheduleAnchor
 
 
 def trace_of(*events):
@@ -125,6 +132,50 @@ class TestValidation:
         validate_critical_path(doc)
 
 
+def _shift_second(path):
+    late = path.segments[1]
+    return dataclasses.replace(path, segments=(
+        path.segments[0],
+        dataclasses.replace(late, start_s=late.start_s + 0.5,
+                            end_s=late.end_s + 0.5)))
+
+
+#: The hostile cases above, applied to a CriticalPath object.
+HOSTILE_PATHS = {
+    "broken chain": (_shift_second, "previous end"),
+    "conservation residual": (
+        lambda p: dataclasses.replace(p, e2e_s=p.e2e_s + 1e-6),
+        "end-to-end"),
+    "unknown edge": (
+        lambda p: dataclasses.replace(p, segments=(
+            dataclasses.replace(p.segments[0], edge="telepathy"),
+            *p.segments[1:])),
+        "unknown edge"),
+    "negative slack": (
+        lambda p: dataclasses.replace(p, slack=(SlackRecord(
+            task_id="z", proc="p", tag="t", start_s=0.0, end_s=1.0,
+            slack_s=-1.0),)),
+        "negative slack"),
+}
+
+
+class TestObjectDictParity:
+    """The validator reads a CriticalPath's fields directly and a saved
+    path's keys; both forms must get the same verdict."""
+
+    @pytest.mark.parametrize("corrupt, match", HOSTILE_PATHS.values(),
+                             ids=list(HOSTILE_PATHS))
+    def test_same_verdict_on_object_and_dict(self, corrupt, match):
+        path = corrupt(critical_path(trace_of(("a", "p", 0.0, 1.0, ""),
+                                              ("b", "p", 1.0, 2.0, ""))))
+        messages = []
+        for form in (path, path.to_dict()):
+            with pytest.raises(CritPathError, match=match) as exc:
+                validate_critical_path(form)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
 class TestEngineTimeline:
     @pytest.fixture(scope="class")
     def engine(self):
@@ -152,3 +203,106 @@ class TestEngineTimeline:
     def test_doc_requires_paths(self):
         with pytest.raises(CritPathError, match="at least one"):
             critpath_doc([])
+
+
+# -- the per-schedule cache behind request_critical_path ----------------------
+
+#: Every engine decode backend, plus the NPU: as a decode processor it
+#: makes the first decode step gated over a resource edge.
+DECODE_BACKENDS = ("cpu", "gpu", "npu")
+
+
+def completed(service):
+    return [r for r in service.requests
+            if r.status == "completed" and r.report is not None]
+
+
+def with_copied_trace(record):
+    """The record with a prefill trace of equal but new events, which
+    the cached structure must not be used for."""
+    prefill = record.report.prefill
+    trace = Trace([dataclasses.replace(e) for e in prefill.trace.events])
+    report = dataclasses.replace(
+        record.report, prefill=dataclasses.replace(prefill, trace=trace))
+    return dataclasses.replace(record, report=report)
+
+
+class TestScheduleCache:
+    @pytest.mark.parametrize("service", [
+        *(pytest.param(lambda s=s: service_golden_records(seed=s),
+                       id=f"golden-seed{s}") for s in range(10)),
+        pytest.param(batched_golden_service, id="batched"),
+    ])
+    def test_cached_path_equals_generic_path(self, service):
+        for record in completed(service()):
+            copied = with_copied_trace(record)
+            for backend in DECODE_BACKENDS:
+                assert request_critical_path(
+                    record, decode_backend=backend).to_dict() == \
+                    request_critical_path(
+                        copied, decode_backend=backend).to_dict()
+
+    def test_mutated_trace_gets_its_own_path(self):
+        service = service_golden_records(seed=42)
+        groups = {}
+        for record in completed(service):
+            groups.setdefault(id(record.report.prefill.facts),
+                              []).append(record)
+        mutated, sibling = next(g for g in groups.values() if len(g) > 1)[:2]
+        before = request_critical_path(sibling).to_dict()
+        trace = mutated.report.prefill.trace
+        trace.add(TraceEvent(task_id="injected", proc="dsp", start_s=0.0,
+                             end_s=trace.makespan_s / 2, tag="inject"))
+        path = request_critical_path(mutated)
+        assert "injected" in {r.task_id for r in path.slack}
+        assert path.to_dict() == request_critical_path(
+            with_copied_trace(mutated)).to_dict()
+        assert request_critical_path(sibling).to_dict() == before
+
+    def test_requests_sharing_a_memo_entry_share_one_index(self,
+                                                           monkeypatch):
+        clear_prepared_graphs()
+        builds = []
+        build = _EventIndex.__init__
+
+        def counting(index, events, deps):
+            builds.append(len(events))
+            build(index, events, deps)
+
+        monkeypatch.setattr(_EventIndex, "__init__", counting)
+        service = service_golden_records(seed=42)
+        groups = {}
+        for record in completed(service):
+            groups.setdefault(id(record.report.prefill.facts),
+                              []).append(record)
+        shared = max(groups.values(), key=len)
+        assert len(shared) > 1
+        paths = [request_critical_path(r) for r in shared]
+        assert len(builds) == 1
+        facts = shared[0].report.prefill.facts
+        anchor = facts.derive((_ScheduleAnchor, "cpu"),
+                              lambda f: pytest.fail("anchor rebuilt"))
+        assert anchor.index is facts.derive(
+            _EventIndex, lambda f: pytest.fail("index rebuilt"))
+        prefill_chains = {tuple(s.task_id for s in p.segments
+                                if s.proc != "service" and s.tag != "decode")
+                          for p in paths}
+        assert len(prefill_chains) == 1
+
+    def test_zero_output_tokens_is_attributed(self):
+        engine = LlmNpuEngine.build("Qwen1.5-1.8B", "Redmi K70 Pro")
+        report = engine.infer(300, 0)
+        record = ServedRequest(request_id=0, model="Qwen1.5-1.8B",
+                               arrival_s=0.5, start_s=1.0,
+                               finish_s=1.0 + report.e2e_latency_s,
+                               report=report)
+        path = request_critical_path(record)
+        hw = critical_path(report.timeline())
+        assert [s.tag for s in path.segments[:1]] == ["queued"]
+        assert [s.task_id for s in path.segments[1:]] == \
+            [s.task_id for s in hw.segments]
+        assert not any(s.tag == "decode" for s in path.segments)
+        assert [r.task_id for r in path.slack] == \
+            [r.task_id for r in hw.slack]
+        assert path.n_events == len(report.prefill.trace.events)
+        assert path.e2e_s == record.finish_s - record.arrival_s
