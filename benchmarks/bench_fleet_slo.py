@@ -20,7 +20,7 @@ def test_fleet_slo(once):
     show_and_archive(compliance, "fleet_compliance.txt")
     # The incident table repeats (slo, rule) labels across devices, so
     # it archives as text only — its counts are asserted below and the
-    # full repro.alerts/v1 document is CI-validated by fleet-smoke.
+    # full repro.alerts/v1 document is CI-validated by bench-smoke.
     print()
     print(incidents.render())
     print(f"[archived: {archive(incidents, 'fleet_incidents.txt')}]")

@@ -197,12 +197,6 @@ class TierStats:
     p95_ttft_s: float = 0.0
     mean_itl_s: float = 0.0
 
-    @property
-    def completion_rate(self) -> float:
-        if self.n_requests == 0:
-            return 0.0
-        return self.n_completed / self.n_requests
-
 
 @dataclass(frozen=True)
 class ServiceMetrics:

@@ -431,11 +431,6 @@ class ChunkContinuation:
         return (sum(self.chunk_costs[self.cursor:])
                 + sum(self.token_costs[self.decoded:]))
 
-    @property
-    def remaining_prefill_s(self) -> float:
-        """Engine time of the chunks not yet executed."""
-        return sum(self.chunk_costs[self.cursor:])
-
 
 def assemble_step(inflight: List[ChunkContinuation],
                   max_batch_tokens: Optional[int],

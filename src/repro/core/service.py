@@ -817,18 +817,12 @@ class LlmService:
         )
 
     def _admit(self, queue: RequestQueue, req: ServiceRequest,
-               free_s: float, records: List[ServedRequest],
-               prefill_only: bool = False) -> None:
+               free_s: float, records: List[ServedRequest]) -> None:
         """Process one arrival: cancel, reject, or push onto the queue.
 
         The projected queueing delay is the engine's remaining busy time
         plus the estimated service of every queued request that would be
         dispatched before this one (higher key in the queue's order).
-        With ``prefill_only`` (the step loop's projection) the
-        queued-ahead cost counts only estimated prefill time: under
-        iteration-level scheduling a request's first token waits for the
-        prefill work ahead of it, not for other requests' decode tails —
-        those interleave.
         """
         if req.request_id in self._cancelled:
             records.append(self._shed(req, req.arrival_s, "cancelled"))
@@ -839,9 +833,7 @@ class LlmService:
             wait = max(0.0, free_s - req.arrival_s)
             for queued in queue:
                 if queue.precedes(queued, req):
-                    est = self._estimate(engine, queued)
-                    wait += (est.prefill.latency_s if prefill_only
-                             else est.e2e_latency_s)
+                    wait += self._estimate(engine, queued).e2e_latency_s
             if wait > req.tier.slo_queueing_s:
                 self.metrics_registry.counter(
                     "service_admission_total", decision="rejected").inc()

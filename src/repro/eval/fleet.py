@@ -10,13 +10,19 @@ timelines.  This driver simulates that pipeline end to end:
 1. each :class:`FleetDeviceSpec` runs the seeded two-tier workload on
    its own :class:`~repro.core.LlmService` with a device-specific
    :class:`~repro.hw.sim.FaultSpec`, watched by a streaming
-   :class:`~repro.obs.SloMonitor`;
+   :class:`~repro.obs.SloMonitor`, and reduces to a plain-dict payload
+   that ships each fact once: the device record (with its scheduler
+   summary), the serialized sketches, and the incident timeline (with
+   its SLO compliance rows);
 2. the per-device sketches merge into exact fleet-wide percentiles
-   (merging the sketches equals sketching the pooled samples —
-   bit-for-bit, see ``tests/eval/test_fleet.py``);
+   through one merge, used for the latency sketches and the optional
+   critical-path sketches alike (merging the sketches equals sketching
+   the pooled samples — bit-for-bit, see ``tests/eval/test_fleet.py``);
 3. the per-device incident timelines concatenate (tagged with their
    ``source`` device) into one fleet ``repro.alerts/v1`` document, and
-   the per-SLO good/bad counts sum into a fleet compliance scoreboard.
+   the per-SLO good/bad counts sum over devices before
+   :meth:`~repro.obs.SloSpec.compliance` — the formula every device's
+   monitor uses — derives the fleet scoreboard.
 
 Everything is a pure function of the fleet seed: the ``repro.fleet/v1``
 report is byte-identical across processes, which is what
@@ -276,79 +282,6 @@ def run_step_probe(spec: FleetDeviceSpec,
     return service, steplog
 
 
-def merged_sketches(
-        monitors: Sequence[SloMonitor]) -> Dict[str, QuantileSketch]:
-    """Merge per-device sketches key-by-key into fleet sketches."""
-    merged: Dict[str, QuantileSketch] = {}
-    for monitor in monitors:
-        for key, sketch in monitor.sketches.items():
-            if key in merged:
-                merged[key].merge(sketch)
-            else:
-                merged[key] = QuantileSketch.from_dict(sketch.to_dict())
-    return merged
-
-
-def merged_compliance(slos: Sequence[SloSpec],
-                      monitors: Sequence[SloMonitor]) -> List[dict]:
-    """Fleet-wide compliance: per-SLO event/bad counts summed across
-    devices, then re-derived good-fraction / budget burn / met."""
-    per_device = [monitor.compliance() for monitor in monitors]
-    out = []
-    for i, slo in enumerate(slos):
-        total = sum(rows[i]["n_events"] for rows in per_device)
-        bad = sum(rows[i]["n_bad"] for rows in per_device)
-        good_fraction = 1.0 if total == 0 else 1.0 - bad / total
-        record = slo.to_dict()
-        record.update({
-            "n_events": total,
-            "n_bad": bad,
-            "good_fraction": good_fraction,
-            "budget_burned": (0.0 if total == 0
-                              else (bad / total) / slo.error_budget),
-            "met": good_fraction >= slo.target,
-        })
-        out.append(record)
-    return out
-
-
-def merged_alerts(specs: Sequence[FleetDeviceSpec],
-                  monitors: Sequence[SloMonitor],
-                  slos: Sequence[SloSpec] = FLEET_SLOS,
-                  rules: Sequence[BurnRateRule] = DEFAULT_RULES) -> dict:
-    """One fleet ``repro.alerts/v1`` document.
-
-    Incidents keep their device identity in a ``source`` field — the
-    non-overlap invariant of the schema holds per ``(source, slo,
-    rule)``, so concurrent incidents on different devices are legal.
-    """
-    incidents: List[dict] = []
-    starts, ends = [], []
-    n_requests = n_faults = 0
-    for spec, monitor in zip(specs, monitors):
-        timeline = monitor.timeline(source=spec.name)
-        for incident in timeline["incidents"]:
-            incidents.append({**incident, "source": spec.name})
-        if timeline["n_request_events"] or timeline["n_fault_events"]:
-            starts.append(timeline["start_s"])
-            ends.append(timeline["end_s"])
-        n_requests += timeline["n_request_events"]
-        n_faults += timeline["n_fault_events"]
-    incidents.sort(key=lambda inc: (inc["pending_s"], inc["source"],
-                                    inc["slo"], inc["rule"]))
-    return {
-        "schema": ALERTS_SCHEMA,
-        "source": "fleet",
-        "start_s": min(starts) if starts else 0.0,
-        "end_s": max(ends) if ends else 0.0,
-        "n_request_events": n_requests,
-        "n_fault_events": n_faults,
-        "slos": merged_compliance(slos, monitors),
-        "rules": [rule.to_dict() for rule in rules],
-        "incidents": incidents,
-    }
-
-
 def _device_critpath_sketches(service) -> Dict[str, dict]:
     """Per-stage critical-path telemetry of one device, as serialized
     sketches.
@@ -380,10 +313,11 @@ def _device_payload(args) -> dict:
     """Run one device end-to-end and reduce it to a plain-dict payload.
 
     This is the multiprocessing work unit: everything the fleet merge
-    needs — the per-device report record, serialized sketches, compliance
-    counts, the incident timeline, and scheduler telemetry — as
-    picklable primitives, so the parent never ships live monitors across
-    process boundaries.  An optional fourth element of ``args`` turns on
+    needs — the per-device report record (with its scheduler summary),
+    serialized sketches, and the incident timeline (with its compliance
+    rows) — as picklable primitives, each fact shipped once, so the
+    parent never ships live monitors across process boundaries.  An
+    optional fourth element of ``args`` turns on
     critical-path attribution (off by default: the committed fleet
     goldens and the gated device-rate benchmark pin the legacy payload).
     """
@@ -423,10 +357,7 @@ def _device_payload(args) -> dict:
         },
         "sketches": {key: sketch.to_dict()
                      for key, sketch in monitor.sketches.items()},
-        "compliance": monitor.compliance(),
         "timeline": monitor.timeline(source=spec.name),
-        "decision_counts": monitor.decision_counts(),
-        "n_steps": monitor.n_steps,
     }
 
 
@@ -454,50 +385,19 @@ def _device_payloads(specs: Sequence[FleetDeviceSpec],
         return pool.map(_device_payload, items, chunksize=chunksize)
 
 
-def _merge_payload_sketches(payloads: Sequence[dict]
+def _merge_payload_sketches(payloads: Sequence[dict],
+                            section: str = "sketches"
                             ) -> Dict[str, QuantileSketch]:
-    """Merge serialized per-device sketches key-by-key (exact: integer
-    buckets and Fraction sums, so merge order cannot change a bit)."""
+    """Merge the serialized per-device sketches of one payload
+    ``section`` (``"sketches"`` or ``"critpath"``) key-by-key.
+
+    Exact: integer buckets and Fraction sums, so merging the sketches
+    equals sketching the pooled samples and merge order cannot change a
+    bit.
+    """
     merged: Dict[str, QuantileSketch] = {}
     for payload in payloads:
-        for key, doc in payload["sketches"].items():
-            sketch = QuantileSketch.from_dict(doc)
-            if key in merged:
-                merged[key].merge(sketch)
-            else:
-                merged[key] = sketch
-    return merged
-
-
-def _merge_payload_compliance(slos: Sequence[SloSpec],
-                              payloads: Sequence[dict]) -> List[dict]:
-    """Fleet compliance from payload count rows (see
-    :func:`merged_compliance`)."""
-    out = []
-    for i, slo in enumerate(slos):
-        total = sum(p["compliance"][i]["n_events"] for p in payloads)
-        bad = sum(p["compliance"][i]["n_bad"] for p in payloads)
-        good_fraction = 1.0 if total == 0 else 1.0 - bad / total
-        record = slo.to_dict()
-        record.update({
-            "n_events": total,
-            "n_bad": bad,
-            "good_fraction": good_fraction,
-            "budget_burned": (0.0 if total == 0
-                              else (bad / total) / slo.error_budget),
-            "met": good_fraction >= slo.target,
-        })
-        out.append(record)
-    return out
-
-
-def _merge_payload_critpath(payloads: Sequence[dict]
-                            ) -> Dict[str, QuantileSketch]:
-    """Merge serialized per-device critical-path sketches key-by-key
-    (same exactness guarantees as :func:`_merge_payload_sketches`)."""
-    merged: Dict[str, QuantileSketch] = {}
-    for payload in payloads:
-        for key, doc in payload.get("critpath", {}).items():
+        for key, doc in payload[section].items():
             sketch = QuantileSketch.from_dict(doc)
             if key in merged:
                 merged[key].merge(sketch)
@@ -509,8 +409,14 @@ def _merge_payload_critpath(payloads: Sequence[dict]
 def _merge_payload_alerts(payloads: Sequence[dict],
                           slos: Sequence[SloSpec],
                           rules: Sequence[BurnRateRule]) -> dict:
-    """Fleet ``repro.alerts/v1`` from payload timelines (see
-    :func:`merged_alerts`)."""
+    """One fleet ``repro.alerts/v1`` document from payload timelines.
+
+    Incidents keep their device identity in a ``source`` field — the
+    non-overlap invariant of the schema holds per ``(source, slo,
+    rule)``, so concurrent incidents on different devices are legal.
+    Each SLO's event and bad counts are summed over devices before
+    :meth:`SloSpec.compliance` derives the fleet row.
+    """
     incidents: List[dict] = []
     starts, ends = [], []
     n_requests = n_faults = 0
@@ -526,6 +432,7 @@ def _merge_payload_alerts(payloads: Sequence[dict],
         n_faults += timeline["n_fault_events"]
     incidents.sort(key=lambda inc: (inc["pending_s"], inc["source"],
                                     inc["slo"], inc["rule"]))
+    rows = [p["timeline"]["slos"] for p in payloads]
     return {
         "schema": ALERTS_SCHEMA,
         "source": "fleet",
@@ -533,7 +440,9 @@ def _merge_payload_alerts(payloads: Sequence[dict],
         "end_s": max(ends) if ends else 0.0,
         "n_request_events": n_requests,
         "n_fault_events": n_faults,
-        "slos": _merge_payload_compliance(slos, payloads),
+        "slos": [slo.compliance(sum(r[i]["n_events"] for r in rows),
+                                sum(r[i]["n_bad"] for r in rows))
+                 for i, slo in enumerate(slos)],
         "rules": [rule.to_dict() for rule in rules],
         "incidents": incidents,
     }
@@ -584,9 +493,10 @@ def fleet_report(specs: Optional[Sequence[FleetDeviceSpec]] = None,
                     "goodput_rps", "scheduler"):
             record[key] = base[key]
         devices.append(record)
+    schedulers = [p["record"]["scheduler"] for p in payloads]
     fleet_decisions: Dict[str, int] = {}
-    for payload in payloads:
-        for action, count in payload["decision_counts"].items():
+    for scheduler in schedulers:
+        for action, count in scheduler["decision_counts"].items():
             fleet_decisions[action] = fleet_decisions.get(action, 0) \
                 + count
     report = {
@@ -601,13 +511,13 @@ def fleet_report(specs: Optional[Sequence[FleetDeviceSpec]] = None,
         "sketches": {key: sketches[key].to_dict()
                      for key in sorted(sketches)},
         "scheduler": {
-            "n_steps": sum(p["n_steps"] for p in payloads),
+            "n_steps": sum(sched["n_steps"] for sched in schedulers),
             "decision_counts": dict(sorted(fleet_decisions.items())),
         },
         "alerts": alerts,
     }
     if critpath:
-        critpath_sketches = _merge_payload_critpath(payloads)
+        critpath_sketches = _merge_payload_sketches(payloads, "critpath")
         report["critpath"] = {
             key: critpath_sketches[key].snapshot_percentiles()
             for key in sorted(critpath_sketches)
@@ -621,13 +531,6 @@ def fleet_golden_json(seed: int = 42, workers: int = 1) -> str:
     return json.dumps(fleet_report(specs=default_fleet(seed=seed),
                                    seed=seed, workers=workers),
                       sort_keys=True)
-
-
-def fleet_alerts_json(seed: int = 42,
-                      indent: Optional[int] = None) -> str:
-    """The default fleet's merged ``repro.alerts/v1`` document."""
-    report = fleet_report(specs=default_fleet(seed=seed), seed=seed)
-    return json.dumps(report["alerts"], indent=indent, sort_keys=True)
 
 
 # -- the seeded fault-storm scenario (the `monitor` subcommand) ---------------

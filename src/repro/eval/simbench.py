@@ -242,7 +242,7 @@ def fleet_speed(n_devices: int = 4, seed: int = 42,
     )
     table.add_row(
         "splitmix", n_devices, workers,
-        sum(p["n_steps"] for p in payloads),
+        sum(p["record"]["scheduler"]["n_steps"] for p in payloads),
         n_devices / wall_s,
     )
     table.add_note(

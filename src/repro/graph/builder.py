@@ -388,9 +388,3 @@ class GraphBuilder:
         ]
         return ChunkPlan(chunk_index, rows, kv_len, subgraphs,
                          dict(base.shadows))
-
-    def npu_ops_per_block(self) -> int:
-        """NPU-visible op count per block, for graph lifecycle costs."""
-        plan = self.build_chunk(0, 32)
-        per_block = [s for s in plan.subgraphs if s.layer == 0]
-        return sum(s.op_count() for s in per_block)

@@ -112,9 +112,6 @@ class SocMemory:
                 space.free(name)
             raise
 
-    def total_used(self) -> int:
-        return self.dram.used_bytes
-
     def report(self) -> Dict[str, int]:
         """Current usage per space in bytes."""
         return {

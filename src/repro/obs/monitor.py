@@ -145,6 +145,23 @@ class SloSpec:
             "threshold": self.threshold,
         }
 
+    def compliance(self, n_events: int, n_bad: int) -> dict:
+        """The scoreboard row for ``n_bad`` bad of ``n_events`` matched
+        events: :meth:`to_dict` plus the counts, good fraction, budget
+        burned and whether the target is met.  No events count as
+        fully compliant."""
+        bad_fraction = 0.0 if n_events == 0 else n_bad / n_events
+        good_fraction = 1.0 - bad_fraction
+        record = self.to_dict()
+        record.update({
+            "n_events": n_events,
+            "n_bad": n_bad,
+            "good_fraction": good_fraction,
+            "budget_burned": bad_fraction / self.error_budget,
+            "met": good_fraction >= self.target,
+        })
+        return record
+
 
 @dataclass(frozen=True)
 class BurnRateRule:
@@ -652,19 +669,8 @@ class SloMonitor:
         out = []
         for slo in self.slos:
             matched = [e for e in self._requests if slo.matches(e)]
-            bad = sum(1 for e in matched if slo.is_bad(e))
-            total = len(matched)
-            good_fraction = 1.0 if total == 0 else 1.0 - bad / total
-            record = slo.to_dict()
-            record.update({
-                "n_events": total,
-                "n_bad": bad,
-                "good_fraction": good_fraction,
-                "budget_burned": (0.0 if total == 0
-                                  else (bad / total) / slo.error_budget),
-                "met": good_fraction >= slo.target,
-            })
-            out.append(record)
+            out.append(slo.compliance(
+                len(matched), sum(1 for e in matched if slo.is_bad(e))))
         return out
 
     def timeline(self, source: str = "service") -> dict:

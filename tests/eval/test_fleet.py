@@ -14,9 +14,9 @@ from repro.eval import (
     fleet_percentile_table,
     fleet_report,
     incident_table,
-    merged_sketches,
     run_device,
 )
+from repro.eval.fleet import _merge_payload_sketches
 from repro.obs import QuantileSketch, validate_timeline_doc
 
 
@@ -32,13 +32,21 @@ def report():
     return fleet_report(specs=default_fleet(seed=42), seed=42)
 
 
+def _sketch_payloads(monitors):
+    """Each monitor's sketches as the serialized payload section that
+    ``fleet_report`` merges."""
+    return [{"sketches": {key: sketch.to_dict()
+                          for key, sketch in monitor.sketches.items()}}
+            for monitor in monitors]
+
+
 class TestMergeEqualsPooled:
     def test_fleet_percentiles_match_pooled_sample_sketch(self, fleet_runs):
         # ACCEPTANCE: merging the per-device sketches must equal a
         # single sketch fed every device's raw samples, exactly.
         _, runs = fleet_runs
         monitors = [monitor for _, monitor in runs]
-        fleet = merged_sketches(monitors)
+        fleet = _merge_payload_sketches(_sketch_payloads(monitors))
         assert fleet  # the fleet observed completed requests
         for key in fleet:
             pooled = QuantileSketch(alpha=monitors[0].sketch_alpha)
@@ -55,10 +63,24 @@ class TestMergeEqualsPooled:
     def test_merge_order_does_not_matter(self, fleet_runs):
         _, runs = fleet_runs
         monitors = [monitor for _, monitor in runs]
-        forward = merged_sketches(monitors)
-        backward = merged_sketches(list(reversed(monitors)))
+        payloads = _sketch_payloads(monitors)
+        forward = _merge_payload_sketches(payloads)
+        backward = _merge_payload_sketches(list(reversed(payloads)))
+        assert forward.keys() == backward.keys()
         for key in forward:
             assert forward[key].to_dict() == backward[key].to_dict()
+
+    def test_fleet_compliance_sums_device_counts(self, fleet_runs, report):
+        # The fleet row is SloSpec.compliance over the per-device event
+        # and bad counts summed, not an average of device fractions.
+        _, runs = fleet_runs
+        rows = [monitor.compliance() for _, monitor in runs]
+        expected = [
+            slo.compliance(sum(r[i]["n_events"] for r in rows),
+                           sum(r[i]["n_bad"] for r in rows))
+            for i, slo in enumerate(FLEET_SLOS)
+        ]
+        assert report["alerts"]["slos"] == expected
 
 
 def _sample(record, field):

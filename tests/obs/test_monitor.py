@@ -63,6 +63,22 @@ class TestSpecValidation:
         with pytest.raises(MonitorError, match="at least one rule"):
             SloMonitor([AVAIL], rules=[])
 
+    def test_compliance_row(self):
+        slo = SloSpec(name="avail", objective="availability", target=0.75)
+        empty = slo.compliance(0, 0)
+        assert empty == {**slo.to_dict(), "n_events": 0, "n_bad": 0,
+                         "good_fraction": 1.0, "budget_burned": 0.0,
+                         "met": True}
+        # met flips exactly at the target: 3 good of 4 is 0.75
+        at_target = slo.compliance(4, 1)
+        assert at_target["good_fraction"] == 0.75
+        assert at_target["budget_burned"] == 1.0
+        assert at_target["met"]
+        below = slo.compliance(4, 2)
+        assert below["good_fraction"] == 0.5
+        assert below["budget_burned"] == 2.0
+        assert not below["met"]
+
     def test_objective_matching(self):
         latency = SloSpec(name="lat", objective="latency", target=0.9,
                           tier="interactive", threshold=2.0)
