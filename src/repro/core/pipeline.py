@@ -7,7 +7,9 @@ process-wide registry of prepared chunk-sharing graphs, content-keyed so
 that engines with equal (model, device, build options, chunk geometry,
 shadow profiles) share one graph, and each :class:`PreparedGraph`
 memoizes the prefills simulated on it: lowering and simulation run once
-per distinct DAG per process, not once per prompt.
+per distinct DAG per process, not once per prompt.  A DAG that misses
+the memo is lowered from chunk task blocks the graph has already
+lowered, so each chunk is lowered once per graph.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.decode import DecodeOptions, decode_token_s
-from repro.core.dependency import build_task_graph
+from repro.core.dependency import TaskBlocks, build_task_graph
 from repro.core.scheduler import get_policy
 from repro.errors import EngineError
 from repro.graph.builder import BuildOptions, ChunkPlan, GraphBuilder
@@ -53,12 +55,13 @@ def lower_prefill(
     float_backend: str,
     include_shadow: bool,
     shadow_backend: Optional[str],
+    blocks: Optional[TaskBlocks] = None,
 ) -> Tuple[List[str], List[Task]]:
     """The processors, in dispatch order, and the task DAG one prefill
-    of ``plans`` schedules."""
+    of ``plans`` schedules (``blocks``: see :func:`build_task_graph`)."""
     tasks = build_task_graph(plans, float_proc=float_backend,
                              include_shadow=include_shadow,
-                             shadow_proc=shadow_backend)
+                             shadow_proc=shadow_backend, blocks=blocks)
     processors = ["npu"]
     for proc in (float_backend, shadow_backend):
         if proc and proc not in processors:
@@ -75,32 +78,36 @@ def run_prefill(
     include_shadow: bool = True,
     extra_latency_s: float = 0.0,
     shadow_backend: str = None,
+    blocks: Optional[TaskBlocks] = None,
 ) -> PrefillReport:
     """Simulate the prefill of ``plans`` and summarize the trace.
 
     ``extra_latency_s`` is serial time added before execution (e.g. the
     per-prompt graph rebuild a naive engine pays).  ``shadow_backend``
-    optionally runs the shadow MatMuls on a third processor.
+    optionally runs the shadow MatMuls on a third processor.  ``blocks``
+    caches the lowered chunks (:meth:`PreparedGraph.task_blocks`).
     """
     if not plans:
         raise EngineError("run_prefill needs at least one chunk plan")
     if prompt_tokens <= 0:
         raise EngineError(f"prompt_tokens must be positive, got {prompt_tokens}")
     processors, tasks = lower_prefill(plans, float_backend, include_shadow,
-                                      shadow_backend)
+                                      shadow_backend, blocks)
     simulator = Simulator(processors)
     scheduling = policy if isinstance(policy, SchedulingPolicy) else get_policy(policy)
     trace = simulator.run(tasks, scheduling)
+    facts = PrefillFacts(tuple(trace.events))
+    busy = facts.busy_by_processor
     return PrefillReport(
         prompt_tokens=prompt_tokens,
         padded_tokens=_padding(prompt_tokens, plans),
         n_chunks=len(plans),
         latency_s=trace.makespan_s + extra_latency_s,
         trace=trace,
-        npu_busy_s=trace.busy_seconds("npu"),
-        float_busy_s=trace.busy_seconds(float_backend),
-        npu_bubble_rate=trace.bubble_rate("npu"),
-        facts=PrefillFacts(tuple(trace.events)),
+        npu_busy_s=busy.get("npu", 0.0),
+        float_busy_s=busy.get(float_backend, 0.0),
+        npu_bubble_rate=facts.bubble_rate("npu"),
+        facts=facts,
     )
 
 
@@ -108,6 +115,12 @@ def run_prefill(
 
 _MEMO_HITS = 0
 _MEMO_MISSES = 0
+
+#: The one prepared graph whose chunk task blocks are kept
+#: (:meth:`PreparedGraph.task_blocks`): blocks hold about a full DAG of
+#: tasks, so keeping them for every graph in the registry would add
+#: that much memory per graph.
+_BLOCK_OWNER: Optional["PreparedGraph"] = None
 
 
 class PreparedGraph:
@@ -120,12 +133,14 @@ class PreparedGraph:
     return a fresh report and a fresh :class:`Trace` over the stored
     :class:`~repro.core.results.PrefillFacts` events, so no caller can
     corrupt the memo, and share the facts.  The graph also caches the
-    per-token decode costs and the prompt-independent memory plan.
+    per-token decode costs, the prompt-independent memory plan and, while
+    it is the graph lowered last, its lowered chunks.
     """
 
     def __init__(self, graph: ChunkSharingGraph):
         self.graph = graph
         self._memo: Dict[tuple, Optional[PrefillReport]] = {}
+        self._blocks: TaskBlocks = {}
         self._decode_s: Dict[DecodeOptions, Callable[[int], float]] = {}
         self._memory_plan: Optional[GraphMemoryPlan] = None
 
@@ -133,6 +148,17 @@ class PreparedGraph:
     def entries(self) -> int:
         """Memo entries that hold a trace."""
         return sum(1 for v in self._memo.values() if v is not None)
+
+    def task_blocks(self) -> TaskBlocks:
+        """The chunk task blocks to lower this graph's plans with
+        (:func:`~repro.core.dependency.build_task_graph`).  Only the
+        graph that lowered last keeps its blocks: taking this graph's
+        drops another graph's."""
+        global _BLOCK_OWNER
+        if _BLOCK_OWNER is not self:
+            _drop_task_blocks()
+            _BLOCK_OWNER = self
+        return self._blocks
 
     def prefill(self, prompt_tokens: int, cached_tokens: int = 0,
                 float_backend: str = "cpu", policy: str = "ooo",
@@ -148,7 +174,8 @@ class PreparedGraph:
             return run_prefill(plans, device, prompt_tokens,
                                float_backend=float_backend, policy=policy,
                                include_shadow=include_shadow,
-                               shadow_backend=shadow_backend)
+                               shadow_backend=shadow_backend,
+                               blocks=self.task_blocks())
         key = (plans[0].chunk_index, len(plans), float_backend, policy,
                include_shadow, shadow_backend)
         stored = self._memo.get(key)
@@ -162,7 +189,8 @@ class PreparedGraph:
         report = run_prefill(plans, device, prompt_tokens,
                              float_backend=float_backend, policy=policy,
                              include_shadow=include_shadow,
-                             shadow_backend=shadow_backend)
+                             shadow_backend=shadow_backend,
+                             blocks=self.task_blocks())
         # Admit on the second sighting: a DAG seen once may never recur,
         # and the trace is the bulk of an entry's memory.
         self._memo[key] = (dataclasses.replace(report, trace=None)
@@ -269,6 +297,15 @@ def reset_prefill_memo_stats() -> None:
     _MEMO_MISSES = 0
 
 
+def _drop_task_blocks() -> None:
+    global _BLOCK_OWNER
+    if _BLOCK_OWNER is not None:
+        _BLOCK_OWNER._blocks.clear()
+        _BLOCK_OWNER = None
+
+
 def clear_prepared_graphs() -> None:
-    """Drop every prepared graph and its memo (the next engine rebuilds)."""
+    """Drop every prepared graph, its memo and its task blocks (the next
+    engine rebuilds)."""
     _PREPARED.clear()
+    _drop_task_blocks()

@@ -40,9 +40,33 @@ class PrefillFacts:
             return value
 
     @cached_property
+    def _events_by_processor(self) -> Dict[str, List[TraceEvent]]:
+        """Each processor's events in :meth:`Trace.events_on` order (a
+        stable sort by start), grouped in one pass."""
+        by_proc: Dict[str, List[TraceEvent]] = {}
+        for event in self.events:
+            by_proc.setdefault(event.proc, []).append(event)
+        for events in by_proc.values():
+            events.sort(key=lambda e: e.start_s)
+        return by_proc
+
+    @cached_property
     def busy_by_processor(self) -> Mapping[str, float]:
         """Read-only :meth:`Trace.busy_by_processor` of the schedule."""
-        return MappingProxyType(Trace(list(self.events)).busy_by_processor())
+        by_proc = self._events_by_processor
+        return MappingProxyType({
+            proc: sum(e.duration_s for e in by_proc[proc])
+            for proc in sorted(by_proc)})
+
+    def bubble_rate(self, proc: str) -> float:
+        """:meth:`Trace.bubble_rate` of the schedule."""
+        events = self._events_by_processor.get(proc)
+        if not events:
+            return 0.0
+        span = max(e.end_s for e in events) - min(e.start_s for e in events)
+        if span <= 0:
+            return 0.0
+        return max(0.0, 1.0 - self.busy_by_processor[proc] / span)
 
     @cached_property
     def chunk_finish(self) -> Tuple[Tuple[int, float], ...]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.errors import GraphError
@@ -137,10 +138,11 @@ class SubgraphSpec:
     def op_count(self) -> int:
         return len(self.ops)
 
-    @property
+    @cached_property
     def matmul_ops(self) -> float:
         """Total MatMul arithmetic work of the subgraph (see
-        :attr:`OpSpec.matmul_ops`)."""
+        :attr:`OpSpec.matmul_ops`), summed once per subgraph object:
+        chunk plans share their static subgraphs."""
         return sum(op.matmul_ops for op in self.ops)
 
 

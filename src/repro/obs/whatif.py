@@ -207,8 +207,9 @@ def capture_engine_run(engine, prompt_tokens: int,
     """Capture the DAG ``engine.infer(prompt_tokens, output_tokens)``
     would schedule, without running the scheduler.
 
-    Replicates the engine's plan construction exactly (chunk plans are
-    memoized per builder, so latencies are bit-identical to what the
+    Replicates the engine's plan construction exactly (a chunking
+    engine's plans come from its prepared graph, which also lowers them
+    with its task blocks, so latencies are bit-identical to what the
     engine itself would see) and appends one decode task per output
     token on the decode backend, gated on the prefill sinks — so decode
     perturbations move ITL and prefill perturbations move TTFT in one
@@ -225,14 +226,17 @@ def capture_engine_run(engine, prompt_tokens: int,
     include_shadow = cfg.quant_mode == "shadow"
     if cfg.chunking:
         plans = engine.graph.plans_for_prompt(prompt_tokens, cached_tokens)
+        blocks = engine._prepared.task_blocks()
         extra = 0.0
     else:
         rows = max(32, prompt_tokens)
         plans = [engine.builder.build_chunk(
             0, rows, engine.shadow_profiles if include_shadow else None)]
+        blocks = None  # a prompt-sized plan is not the graph's chunk 0
         extra = engine.graph.naive_per_prompt_preparation_s()
     processors, tasks = lower_prefill(plans, cfg.float_backend,
-                                      include_shadow, cfg.shadow_backend)
+                                      include_shadow, cfg.shadow_backend,
+                                      blocks)
     prefill_ids = frozenset(t.task_id for t in tasks)
     if output_tokens > 0:
         decode_s = engine.decode(cached_tokens + prompt_tokens,
