@@ -130,26 +130,42 @@ echo "OK: fleet SLO report is byte-identical with a cold and a warm" \
 
 # The step loop proper is deterministic too: the batching snapshot
 # (per-request timings + per-step batch digests + goodput) at two knob
-# settings must be byte-identical across independent processes.
+# settings must be byte-identical across independent processes.  And
+# observing it is a no-op: with a StepLogger attached (every step and
+# decision emitted) the snapshot must not change a byte.
 batching() {
     python -c "from repro.eval import service_batching_golden_snapshot
-print(service_batching_golden_snapshot(seed=42, prefill_priority=$1))"
+from repro.obs import StepLogger
+log = StepLogger() if $2 else None
+print(service_batching_golden_snapshot(seed=42, prefill_priority=$1,
+                                       steplog=log))"
 }
 
 for p in 0.0 1.0; do
     b1=$(mktemp)
     b2=$(mktemp)
-    batching "$p" > "$b1"
-    batching "$p" > "$b2"
+    b3=$(mktemp)
+    batching "$p" False > "$b1"
+    batching "$p" False > "$b2"
     if ! cmp -s "$b1" "$b2"; then
         echo "FAIL: consecutive step-loop runs differ" \
              "(prefill_priority=$p)" >&2
-        rm -f "$b1" "$b2"
+        rm -f "$b1" "$b2" "$b3"
         exit 1
     fi
     echo "OK: step-loop batching snapshot is byte-identical across" \
          "runs (prefill_priority=$p, $(wc -l < "$b1") lines)"
-    rm -f "$b1" "$b2"
+    batching "$p" True > "$b3"
+    if ! diff -u "$b1" "$b3"; then
+        echo "FAIL: attaching a StepLogger changed the step-loop" \
+             "snapshot (prefill_priority=$p; observation must be a" \
+             "no-op)" >&2
+        rm -f "$b1" "$b2" "$b3"
+        exit 1
+    fi
+    echo "OK: step-loop batching snapshot is unchanged with step" \
+         "logging attached (prefill_priority=$p)"
+    rm -f "$b1" "$b2" "$b3"
 done
 
 # The scheduler step log (repro.steps/v1) — queue snapshots, typed

@@ -108,6 +108,7 @@ class LlmNpuEngine:
         cfg = self.config
 
         self.shadow_profiles = self._make_shadow_profiles()
+        self._shadow_weight_bytes: Optional[int] = None
         self._prepare(BuildOptions(
             float_backend=cfg.float_backend,
             per_group=(cfg.quant_mode == "per-group"),
@@ -382,12 +383,19 @@ class LlmNpuEngine:
         return sum(1 for p in self.shadow_profiles.values() if not p.pruned)
 
     def shadow_weight_bytes(self) -> int:
-        """Resident float shadow weights (hot-channel cache, §3.3)."""
-        if self.config.quant_mode != "shadow":
-            return 0
-        return shadow_weight_bytes(
-            self.model, self.n_unpruned_layers(), self.config.hot_policy
-        )
+        """Resident float shadow weights (hot-channel cache, §3.3).
+
+        Computed once per engine: it depends only on the model, the
+        frozen config and ``shadow_profiles``, which only ``__init__``
+        assigns.  Every :meth:`memory_bytes` call reads it.
+        """
+        if self._shadow_weight_bytes is None:
+            self._shadow_weight_bytes = (
+                0 if self.config.quant_mode != "shadow"
+                else shadow_weight_bytes(self.model,
+                                         self.n_unpruned_layers(),
+                                         self.config.hot_policy))
+        return self._shadow_weight_bytes
 
     def memory_bytes(self, total_tokens: int) -> int:
         """Peak memory: weights + graphs + KV cache + shadow weights."""

@@ -17,7 +17,10 @@ CPU fed (it will unlock future NPU work during the NPU's busy period).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import math
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.hw.sim import FifoPolicy, SchedulingPolicy, SimContext, Task
@@ -165,9 +168,15 @@ class RequestQueue:
       seed service implemented).
 
     Entries are any objects exposing ``priority``, ``arrival_s`` and
-    ``request_id``; ties always resolve by request id, so the order is a
-    pure function of the queue contents — no wall-clock or hash-order
-    nondeterminism can leak in.
+    ``request_id`` (and ``tier.name`` for :meth:`tier_depths`); ties
+    always resolve by request id, so the order is a pure function of
+    the queue contents — no wall-clock or hash-order nondeterminism can
+    leak in.
+
+    The entries are kept as a key-sorted list, so the dispatch order is
+    never re-sorted: the step loop reads it (and its ids and per-tier
+    depths) every step, and those snapshots are cached until the next
+    push or pop.
 
     With a :class:`~repro.obs.tracer.Tracer` attached, every push/pop
     that carries a sim-clock timestamp becomes an instant event on the
@@ -185,7 +194,11 @@ class RequestQueue:
         from repro.obs.tracer import as_tracer
         self.mode = mode
         self.tracer = as_tracer(tracer)
-        self._heap: List[tuple] = []
+        self._entries: List[tuple] = []  # (key, entry), sorted by key
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        self._order = self._ids = self._depths = None
 
     def key(self, entry) -> tuple:
         if self.mode == "priority":
@@ -197,39 +210,63 @@ class RequestQueue:
         return self.key(a) < self.key(b)
 
     def push(self, entry, now_s: Optional[float] = None) -> None:
-        import heapq
-        heapq.heappush(self._heap, (self.key(entry), entry))
+        bisect.insort(self._entries, (self.key(entry), entry))
+        self._invalidate()
         if self.tracer.enabled and now_s is not None:
             self.tracer.instant(
                 "queue.push", proc="service", thread="scheduler",
                 ts_s=now_s, cat="scheduler", mode=self.mode,
-                request_id=entry.request_id, depth=len(self._heap),
+                request_id=entry.request_id, depth=len(self._entries),
             )
 
     def pop(self, now_s: Optional[float] = None):
-        import heapq
-        entry = heapq.heappop(self._heap)[1]
+        entry = self._entries.pop(0)[1]
+        self._invalidate()
         if self.tracer.enabled and now_s is not None:
             self.tracer.instant(
                 "queue.pop", proc="service", thread="scheduler",
                 ts_s=now_s, cat="scheduler", mode=self.mode,
-                request_id=entry.request_id, depth=len(self._heap),
+                request_id=entry.request_id, depth=len(self._entries),
             )
         return entry
 
     def peek(self):
-        return self._heap[0][1]
+        return self._entries[0][1]
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._entries)
 
     def __iter__(self):
         """Entries in dispatch order (non-destructive)."""
-        return (entry for _, entry in sorted(self._heap,
-                                             key=lambda kv: kv[0]))
+        return iter(self._ordered())
+
+    def _ordered(self) -> tuple:
+        if self._order is None:
+            self._order = tuple(entry for _, entry in self._entries)
+        return self._order
+
+    def ahead_of(self, entry) -> tuple:
+        """The queued entries dispatched before ``entry``, in order."""
+        return self._ordered()[:bisect.bisect_left(self._entries,
+                                                  (self.key(entry),))]
+
+    def ids(self) -> Tuple[int, ...]:
+        """Request ids in dispatch order."""
+        if self._ids is None:
+            self._ids = tuple(entry.request_id for entry in self._ordered())
+        return self._ids
+
+    def tier_depths(self) -> Tuple[Tuple[str, int], ...]:
+        """``(tier, depth)`` pairs, sorted by tier name."""
+        if self._depths is None:
+            depths: Dict[str, int] = {}
+            for entry in self._ordered():
+                depths[entry.tier.name] = depths.get(entry.tier.name, 0) + 1
+            self._depths = tuple(sorted(depths.items()))
+        return self._depths
 
 
 # -- iteration-level batching (continuous batching with chunked prefill) ------
@@ -311,6 +348,10 @@ class StepRecord:
     ``budget_tokens`` / ``kv_budget_bytes`` echo the governing
     :class:`BatchConfig` limits.  All default so existing constructions
     (and the PR-6 invariant suite) are unaffected.
+
+    ``prefill_tokens`` / ``decode_tokens`` / ``batch_tokens`` are summed
+    from ``items`` once, at construction: the step log, the monitor and
+    the snapshot each read them, several times per step.
     """
 
     index: int
@@ -325,18 +366,20 @@ class StepRecord:
     concurrency_full: bool = False
     budget_tokens: Optional[int] = None
     kv_budget_bytes: Optional[int] = None
+    prefill_tokens: int = field(init=False, repr=False, compare=False)
+    decode_tokens: int = field(init=False, repr=False, compare=False)
+    batch_tokens: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def prefill_tokens(self) -> int:
-        return sum(i.tokens for i in self.items if i.kind == "prefill")
-
-    @property
-    def decode_tokens(self) -> int:
-        return sum(i.tokens for i in self.items if i.kind == "decode")
-
-    @property
-    def batch_tokens(self) -> int:
-        return self.prefill_tokens + self.decode_tokens
+    def __post_init__(self) -> None:
+        prefill = decode = 0
+        for item in self.items:
+            if item.kind == "prefill":
+                prefill += item.tokens
+            elif item.kind == "decode":
+                decode += item.tokens
+        object.__setattr__(self, "prefill_tokens", prefill)
+        object.__setattr__(self, "decode_tokens", decode)
+        object.__setattr__(self, "batch_tokens", prefill + decode)
 
     @property
     def queue_depth(self) -> int:
@@ -370,7 +413,10 @@ class ChunkContinuation:
 
     All fields are per-instance (``__slots__``, no class-level
     defaults), so two interleaved requests can never share cursor or
-    residency state.
+    residency state.  ``order_key`` (the priority queue's key),
+    ``n_chunks`` and ``output_tokens`` are fixed at construction, so
+    batch assembly reads plain attributes instead of re-deriving them
+    every step.
     """
 
     __slots__ = (
@@ -378,6 +424,7 @@ class ChunkContinuation:
         "chunk_lens", "chunk_costs", "chunk_offset", "token_costs",
         "kv_reserved_bytes", "retries", "retry_held_s",
         "cursor", "decoded", "prefill_end_s", "first_token_s",
+        "order_key", "n_chunks", "output_tokens",
     )
 
     def __init__(self, request_id: int, priority: int, arrival_s: float,
@@ -408,22 +455,9 @@ class ChunkContinuation:
         self.decoded = 0
         self.prefill_end_s: Optional[float] = None
         self.first_token_s: Optional[float] = None
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.chunk_lens)
-
-    @property
-    def output_tokens(self) -> int:
-        return len(self.token_costs)
-
-    @property
-    def prefill_done(self) -> bool:
-        return self.cursor >= self.n_chunks
-
-    @property
-    def done(self) -> bool:
-        return self.prefill_done and self.decoded >= self.output_tokens
+        self.order_key = (-priority, arrival_s, request_id)
+        self.n_chunks = len(self.chunk_lens)
+        self.output_tokens = len(self.token_costs)
 
     @property
     def remaining_cost_s(self) -> float:
@@ -432,10 +466,18 @@ class ChunkContinuation:
                 + sum(self.token_costs[self.decoded:]))
 
 
-def assemble_step(inflight: List[ChunkContinuation],
-                  max_batch_tokens: Optional[int],
-                  prefill_priority: float,
-                  rotation: int = 0) -> List[StepItem]:
+#: One planned unit of step work: ``(state, kind, tokens, cost_s,
+#: index)``, the fields of a :class:`StepItem` with the request's
+#: continuation in place of its id.
+PlannedItem = Tuple[ChunkContinuation, str, int, float, int]
+
+_order_key = attrgetter("order_key")
+
+
+def plan_step(inflight: List[ChunkContinuation],
+              max_batch_tokens: Optional[int],
+              prefill_priority: float,
+              rotation: int = 0) -> List[PlannedItem]:
     """Plan one step's batch from the in-flight continuation states.
 
     Assembly rules (DESIGN.md §"Step-loop scheduler"):
@@ -461,18 +503,18 @@ def assemble_step(inflight: List[ChunkContinuation],
        otherwise (in-flight streams keep their cadence).
 
     Pure function of its arguments: no clocks, no randomness.
+    ``inflight`` may be in any order (the service passes start order).
     """
-    import math as _math
-
-    def order_key(s: ChunkContinuation):
-        return (-s.priority, s.arrival_s, s.request_id)
-
-    decoding = sorted(
-        (s for s in inflight if s.prefill_done and not s.done),
-        key=order_key)
-    prefilling = sorted(
-        (s for s in inflight if not s.prefill_done), key=order_key)
-    budget = (_math.inf if max_batch_tokens is None
+    decoding: List[ChunkContinuation] = []
+    prefilling: List[ChunkContinuation] = []
+    for s in inflight:
+        if s.cursor < s.n_chunks:
+            prefilling.append(s)
+        elif s.decoded < s.output_tokens:
+            decoding.append(s)
+    decoding.sort(key=_order_key)
+    prefilling.sort(key=_order_key)
+    budget = (math.inf if max_batch_tokens is None
               else float(max_batch_tokens))
 
     if decoding and len(decoding) > budget:
@@ -480,20 +522,19 @@ def assemble_step(inflight: List[ChunkContinuation],
         offset = rotation % len(decoding)
         decoding = [decoding[(offset + i) % len(decoding)]
                     for i in range(window)]
-    decode_items = [
-        StepItem(request_id=s.request_id, kind="decode", tokens=1,
-                 cost_s=s.token_costs[s.decoded], index=s.decoded)
+    decode_items: List[PlannedItem] = [
+        (s, "decode", 1, s.token_costs[s.decoded], s.decoded)
         for s in decoding
     ]
 
     avail = budget - len(decode_items)
     if decode_items and prefill_priority < 1.0:
-        target = (avail if avail == _math.inf
-                  else min(avail, float(_math.floor(
+        target = (avail if avail == math.inf
+                  else min(avail, float(math.floor(
                       budget * prefill_priority))))
     else:
         target = avail
-    prefill_items: List[StepItem] = []
+    prefill_items: List[PlannedItem] = []
     remaining = target
     for s in prefilling:
         cursor = s.cursor
@@ -510,10 +551,8 @@ def assemble_step(inflight: List[ChunkContinuation],
                 else:
                     blocked = True
                     break
-            prefill_items.append(StepItem(
-                request_id=s.request_id, kind="prefill", tokens=tokens,
-                cost_s=s.chunk_costs[cursor], index=cursor,
-            ))
+            prefill_items.append(
+                (s, "prefill", tokens, s.chunk_costs[cursor], cursor))
             remaining -= tokens
             cursor += 1
         if blocked:
@@ -522,6 +561,17 @@ def assemble_step(inflight: List[ChunkContinuation],
     if prefill_priority >= 0.5:
         return prefill_items + decode_items
     return decode_items + prefill_items
+
+
+def assemble_step(inflight: List[ChunkContinuation],
+                  max_batch_tokens: Optional[int],
+                  prefill_priority: float,
+                  rotation: int = 0) -> List[StepItem]:
+    """:func:`plan_step`'s batch as :class:`StepItem` values (times 0)."""
+    return [StepItem(state.request_id, kind, tokens, cost_s, index)
+            for state, kind, tokens, cost_s, index
+            in plan_step(inflight, max_batch_tokens, prefill_priority,
+                         rotation)]
 
 
 #: Every scheduling policy :func:`get_policy` builds, by name.

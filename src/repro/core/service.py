@@ -46,7 +46,7 @@ Two serving paths coexist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -60,10 +60,11 @@ from repro.core.results import (
 from repro.core.scheduler import (
     BatchConfig,
     ChunkContinuation,
+    PlannedItem,
     RequestQueue,
     StepItem,
     StepRecord,
-    assemble_step,
+    plan_step,
 )
 from repro.errors import (
     EngineError,
@@ -378,7 +379,8 @@ class LlmService:
         self._cancelled: set = set()
         self._est_cache: Dict[Tuple, InferenceReport] = {}
         self._observers: List = []
-        self._step_observers: List = []
+        self._step_sinks: List = []
+        self._decision_sinks: List = []
         self._next_id = 0
 
     # -- engine lifecycle -----------------------------------------------------
@@ -643,12 +645,19 @@ class LlmService:
         :meth:`add_observer` this is strictly read-only, and with no
         step observers attached the serving paths do no telemetry work
         at all — golden artifacts stay byte-identical either way.
+
+        Both hooks are bound here, once: the service calls the bound
+        methods it looked up at registration.
         """
-        if not (callable(getattr(observer, "on_step", None))
-                or callable(getattr(observer, "on_decision", None))):
+        on_step = getattr(observer, "on_step", None)
+        on_decision = getattr(observer, "on_decision", None)
+        if not (callable(on_step) or callable(on_decision)):
             raise EngineError(
                 "step observer must define on_step() or on_decision()")
-        self._step_observers.append(observer)
+        if callable(on_step):
+            self._step_sinks.append(on_step)
+        if callable(on_decision):
+            self._decision_sinks.append(on_decision)
 
     def _emit_decision(self, t_s: float, request_id: int, tier: str,
                        action: str, step: Optional[int] = None,
@@ -659,17 +668,8 @@ class LlmService:
         decision = Decision(t_s=t_s, request_id=request_id, tier=tier,
                             action=action, step=step, quantity=quantity,
                             value=value, limit=limit)
-        for observer in self._step_observers:
-            fn = getattr(observer, "on_decision", None)
-            if callable(fn):
-                fn(decision)
-
-    def _emit_step(self, record: StepRecord) -> None:
-        """Fan one executed step out to the step observers."""
-        for observer in self._step_observers:
-            fn = getattr(observer, "on_step", None)
-            if callable(fn):
-                fn(record)
+        for sink in self._decision_sinks:
+            sink(decision)
 
     def _observe(self, record: ServedRequest) -> None:
         """Fold one finished record into the live metrics registry."""
@@ -690,7 +690,7 @@ class LlmService:
             if record.itl_s is not None:
                 reg.histogram("service_itl_s",
                               tier=record.tier).observe(record.itl_s)
-        if self._step_observers:
+        if self._decision_sinks:
             self._emit_decision(
                 record.finish_s, record.request_id, record.tier,
                 record.status, quantity="turnaround_s",
@@ -831,9 +831,8 @@ class LlmService:
         if self.admission:
             engine = self._engines[req.model]
             wait = max(0.0, free_s - req.arrival_s)
-            for queued in queue:
-                if queue.precedes(queued, req):
-                    wait += self._estimate(engine, queued).e2e_latency_s
+            for queued in queue.ahead_of(req):
+                wait += self._estimate(engine, queued).e2e_latency_s
             if wait > req.tier.slo_queueing_s:
                 self.metrics_registry.counter(
                     "service_admission_total", decision="rejected").inc()
@@ -845,7 +844,7 @@ class LlmService:
                         tier=req.tier.name, projected_wait_s=wait,
                         slo_s=req.tier.slo_queueing_s,
                     )
-                if self._step_observers:
+                if self._decision_sinks:
                     self._emit_decision(
                         req.arrival_s, req.request_id, req.tier.name,
                         "admission-rejected",
@@ -863,7 +862,7 @@ class LlmService:
                     ts_s=req.arrival_s, cat="admission",
                     tier=req.tier.name, projected_wait_s=wait,
                 )
-        if self._step_observers:
+        if self._decision_sinks:
             self._emit_decision(
                 req.arrival_s, req.request_id, req.tier.name, "admitted",
                 quantity="projected_wait_s", value=wait,
@@ -916,7 +915,7 @@ class LlmService:
                     new_records.append(self._shed(req, req.deadline_s,
                                                   "timeout"))
                     continue
-                if self._step_observers:
+                if self._decision_sinks:
                     self._emit_decision(
                         free_s, req.request_id, req.tier.name,
                         "dispatched", quantity="queueing_s",
@@ -1034,10 +1033,10 @@ class LlmService:
         sim-clock *step*: admit the arrivals up to ``now``, start queued
         requests into the batch (bounded by ``max_concurrency`` and the
         KV budget, head-of-line), then execute the step batch
-        :func:`~repro.core.scheduler.assemble_step` plans — prefill
-        chunks of starting requests interleaved with one decode token
-        per in-flight decoder, under ``max_batch_tokens``.  The engine
-        is serial (mobile NPUs don't co-run graphs), so a step's items
+        :func:`~repro.core.scheduler.plan_step` plans — prefill chunks
+        of starting requests interleaved with one decode token per
+        in-flight decoder, under ``max_batch_tokens``.  The engine is
+        serial (mobile NPUs don't co-run graphs), so a step's items
         execute back-to-back; batching wins by *reordering* work across
         requests, not by overlapping it.
 
@@ -1045,9 +1044,15 @@ class LlmService:
         reservation) lives in per-request
         :class:`~repro.core.scheduler.ChunkContinuation` objects carried
         across steps; every executed step is appended to :attr:`steps`.
+        A step costs what changed, not what is resident: the in-flight
+        list and KV total are updated when a request starts or
+        finishes, the queue caches its order and per-tier depths between
+        pushes and pops, and each executed item is built once.
         """
         bcfg = self.batching
         tr = self.tracer
+        budget_limit = (None if bcfg.max_batch_tokens is None
+                        else float(bcfg.max_batch_tokens))
         new_records: List[ServedRequest] = []
         for model_name in sorted(self._pending):
             reqs = sorted(self._pending[model_name],
@@ -1055,7 +1060,8 @@ class LlmService:
             engine = self._engines[model_name]
             now = self._clocks[model_name]
             queue = RequestQueue(self.scheduler, tracer=self.tracer)
-            inflight: List[ChunkContinuation] = []
+            inflight: List[ChunkContinuation] = []  # in start order
+            kv_reserved = 0  # summed kv_reserved_bytes of inflight
             open_reqs: Dict[int, ServiceRequest] = {}
             idx = 0
             rotation = 0
@@ -1071,9 +1077,14 @@ class LlmService:
                 # requests through during a background burst.
                 while idx < len(reqs) and reqs[idx].arrival_s <= now:
                     arrival = reqs[idx]
+                    arrival_key = queue.key(arrival)
+                    # The backlog is a float sum in *start order*, and
+                    # each remaining_cost_s sums its own slices left to
+                    # right: reordering inflight, or keeping a running
+                    # total or suffix sums instead, would move bits.
                     backlog_s = now + sum(
                         s.remaining_cost_s for s in inflight
-                        if queue.key(s) < queue.key(arrival))
+                        if queue.key(s) < arrival_key)
                     self._admit(queue, arrival, backlog_s, new_records)
                     idx += 1
                 if not inflight and not queue:
@@ -1093,17 +1104,15 @@ class LlmService:
                             engine.model,
                             head.cached_tokens + head.prompt_tokens
                             + head.output_tokens)
-                        reserved = sum(s.kv_reserved_bytes
-                                       for s in inflight)
-                        if reserved + projected > bcfg.kv_budget_bytes:
+                        if kv_reserved + projected > bcfg.kv_budget_bytes:
                             kv_blocked_id = head.request_id
-                            if self._step_observers:
+                            if self._decision_sinks:
                                 self._emit_decision(
                                     now, head.request_id, head.tier.name,
                                     "kv-deferred",
                                     step=len(self._steps),
                                     quantity="kv_projected_bytes",
-                                    value=float(reserved + projected),
+                                    value=float(kv_reserved + projected),
                                     limit=float(bcfg.kv_budget_bytes),
                                 )
                             break  # head-of-line: wait for KV to free
@@ -1122,8 +1131,9 @@ class LlmService:
                         new_records.append(dead)
                         continue
                     inflight.append(state)
+                    kv_reserved += state.kv_reserved_bytes
                     open_reqs[req.request_id] = req
-                    if self._step_observers:
+                    if self._decision_sinks:
                         self._emit_decision(
                             state.dispatch_s, req.request_id,
                             req.tier.name, "started",
@@ -1137,7 +1147,7 @@ class LlmService:
                     bool(queue) and kv_blocked_id is None
                     and bcfg.max_concurrency is not None
                     and len(inflight) >= bcfg.max_concurrency)
-                if concurrency_full and self._step_observers:
+                if concurrency_full and self._decision_sinks:
                     head = queue.peek()
                     self._emit_decision(
                         now, head.request_id, head.tier.name,
@@ -1148,129 +1158,79 @@ class LlmService:
                     )
                 if not inflight:
                     continue
-                items = assemble_step(inflight, bcfg.max_batch_tokens,
-                                      bcfg.prefill_priority,
-                                      rotation=rotation)
-                if not items:
+                plan = plan_step(inflight, bcfg.max_batch_tokens,
+                                 bcfg.prefill_priority, rotation=rotation)
+                if not plan:
                     raise EngineError(
                         "step loop stalled: in-flight requests but an "
                         "empty step batch"
                     )
                 step_index = len(self._steps)
                 step_start = now
-                n_inflight = len(inflight)
-                kv_reserved = sum(s.kv_reserved_bytes for s in inflight)
-                by_id = {s.request_id: s for s in inflight}
-                queued_ids = tuple(e.request_id for e in queue)
-                tier_depths: Dict[str, int] = {}
-                for entry in queue:
-                    tier_depths[entry.tier.name] = (
-                        tier_depths.get(entry.tier.name, 0) + 1)
-                if self._step_observers:
-                    scheduled = {(it.request_id, it.kind)
-                                 for it in items}
-                    for it in items:
-                        state = by_id[it.request_id]
-                        if it.kind == "prefill":
-                            self._emit_decision(
-                                step_start, it.request_id,
-                                state.tier_name, "chunk-scheduled",
-                                step=step_index, quantity="tokens",
-                                value=float(it.tokens),
-                                limit=(None
-                                       if bcfg.max_batch_tokens is None
-                                       else float(
-                                           bcfg.max_batch_tokens)),
-                            )
-                        else:
-                            self._emit_decision(
-                                step_start, it.request_id,
-                                state.tier_name, "decode-scheduled",
-                                step=step_index, quantity="token_index",
-                                value=float(it.index),
-                            )
-                    for state in inflight:
-                        rid = state.request_id
-                        if (not state.prefill_done
-                                and (rid, "prefill") not in scheduled):
-                            self._emit_decision(
-                                step_start, rid, state.tier_name,
-                                "budget-exhausted", step=step_index,
-                                quantity="next_chunk_tokens",
-                                value=float(
-                                    state.chunk_lens[state.cursor]),
-                                limit=(None
-                                       if bcfg.max_batch_tokens is None
-                                       else float(
-                                           bcfg.max_batch_tokens)),
-                            )
-                        elif (state.prefill_done and not state.done
-                                and (rid, "decode") not in scheduled):
-                            self._emit_decision(
-                                step_start, rid, state.tier_name,
-                                "decode-rotated-out", step=step_index,
-                                quantity="rotation",
-                                value=float(rotation),
-                                limit=(None
-                                       if bcfg.max_batch_tokens is None
-                                       else float(
-                                           bcfg.max_batch_tokens)),
-                            )
+                if self._decision_sinks:
+                    self._emit_step_decisions(plan, inflight, step_start,
+                                              step_index, rotation,
+                                              budget_limit)
                 rotation += 1
                 executed: List[StepItem] = []
-                finished_at: Dict[int, float] = {}
-                for item in items:
-                    state = by_id[item.request_id]
+                finished: List[Tuple[int, float, ChunkContinuation]] = []
+                for state, kind, tokens, cost_s, index in plan:
                     start = now
-                    now += item.cost_s
-                    if item.kind == "prefill":
+                    now += cost_s
+                    if kind == "prefill":
                         state.cursor += 1
                         if tr.enabled:
-                            chunk = state.chunk_offset + item.index
+                            chunk = state.chunk_offset + index
                             tr.span(
                                 f"chunk {chunk}", proc="service",
-                                thread=request_track(item.request_id),
+                                thread=request_track(state.request_id),
                                 start_s=start, end_s=now, cat="prefill",
-                                chunk=chunk, tokens=item.tokens,
+                                chunk=chunk, tokens=tokens,
                                 step=step_index,
                             )
-                        if state.prefill_done:
+                        if state.cursor == state.n_chunks:
                             state.prefill_end_s = now
                             state.first_token_s = now
+                            if not state.output_tokens:
+                                finished.append(
+                                    (state.request_id, now, state))
                     else:
                         state.decoded += 1
                         if tr.enabled:
                             tr.span(
-                                f"token {item.index}", proc="service",
-                                thread=request_track(item.request_id),
+                                f"token {index}", proc="service",
+                                thread=request_track(state.request_id),
                                 start_s=start, end_s=now, cat="decode",
                                 step=step_index,
                             )
-                    executed.append(replace(item, start_s=start,
-                                            end_s=now))
-                    if state.done:
-                        finished_at[state.request_id] = now
-                self._steps.append(StepRecord(
+                        if state.decoded == state.output_tokens:
+                            finished.append((state.request_id, now, state))
+                    executed.append(StepItem(state.request_id, kind, tokens,
+                                             cost_s, index, start, now))
+                record = StepRecord(
                     index=step_index, start_s=step_start, end_s=now,
-                    items=tuple(executed), n_inflight=n_inflight,
+                    items=tuple(executed), n_inflight=len(inflight),
                     kv_reserved_bytes=kv_reserved,
-                    queued_ids=queued_ids,
-                    queue_depths=tuple(sorted(tier_depths.items())),
+                    queued_ids=queue.ids(),
+                    queue_depths=queue.tier_depths(),
                     kv_blocked_id=kv_blocked_id,
                     concurrency_full=concurrency_full,
                     budget_tokens=bcfg.max_batch_tokens,
                     kv_budget_bytes=bcfg.kv_budget_bytes,
-                ))
-                if self._step_observers:
-                    self._emit_step(self._steps[-1])
-                if finished_at:
+                )
+                self._steps.append(record)
+                for sink in self._step_sinks:
+                    sink(record)
+                if finished:
+                    finished.sort()
+                    done_ids = {rid for rid, _, _ in finished}
                     inflight = [s for s in inflight
-                                if s.request_id not in finished_at]
-                    for rid in sorted(finished_at):
-                        state = by_id[rid]
+                                if s.request_id not in done_ids]
+                    for rid, finish_s, state in finished:
+                        kv_reserved -= state.kv_reserved_bytes
                         new_records.append(self._finalize_batched(
                             engine, model_name, state,
-                            open_reqs.pop(rid), finished_at[rid]))
+                            open_reqs.pop(rid), finish_s))
             self._clocks[model_name] = now
         self._pending.clear()
         new_records.sort(key=lambda r: r.request_id)
@@ -1278,6 +1238,48 @@ class LlmService:
         for record in new_records:
             self._observe(record)
         return new_records
+
+    def _emit_step_decisions(self, plan: List[PlannedItem],
+                             inflight: List[ChunkContinuation],
+                             t_s: float, step: int, rotation: int,
+                             budget_limit: Optional[float]) -> None:
+        """The decisions of one planned step: one per scheduled item,
+        then one per in-flight request the plan skipped, in start order.
+
+        A step that advances every in-flight request skips nobody, so
+        the skip sweep runs only on steps where the budget left some
+        request out.
+        """
+        touched = set()
+        for state, kind, tokens, _cost_s, index in plan:
+            touched.add(state.request_id)
+            if kind == "prefill":
+                self._emit_decision(
+                    t_s, state.request_id, state.tier_name,
+                    "chunk-scheduled", step=step, quantity="tokens",
+                    value=float(tokens), limit=budget_limit)
+            else:
+                self._emit_decision(
+                    t_s, state.request_id, state.tier_name,
+                    "decode-scheduled", step=step, quantity="token_index",
+                    value=float(index))
+        if len(touched) == len(inflight):
+            return
+        for state in inflight:
+            if state.request_id in touched:
+                continue
+            if state.cursor < state.n_chunks:
+                self._emit_decision(
+                    t_s, state.request_id, state.tier_name,
+                    "budget-exhausted", step=step,
+                    quantity="next_chunk_tokens",
+                    value=float(state.chunk_lens[state.cursor]),
+                    limit=budget_limit)
+            elif state.decoded < state.output_tokens:
+                self._emit_decision(
+                    t_s, state.request_id, state.tier_name,
+                    "decode-rotated-out", step=step, quantity="rotation",
+                    value=float(rotation), limit=budget_limit)
 
     # -- reporting ----------------------------------------------------------------
 

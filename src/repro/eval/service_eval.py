@@ -443,16 +443,20 @@ def batched_golden_service(seed: int = 42,
 
 
 def service_batching_golden_snapshot(seed: int = 42,
-                                     prefill_priority: float = 0.5) -> str:
+                                     prefill_priority: float = 0.5,
+                                     steplog=None) -> str:
     """Full-precision text dump of one step-loop run (CI byte-diffs it).
 
     Covers the per-request timings *and* a digest of every executed
     step (item counts, token counts, KV reservation), so any
     nondeterminism in batch assembly — not just in the final records —
-    trips the diff.
+    trips the diff.  ``scripts/check_determinism.sh`` also runs it with
+    a :class:`~repro.obs.StepLogger` attached via ``steplog``, which
+    must not change a byte (observation is a no-op).
     """
     service = batched_golden_service(seed=seed,
-                                     prefill_priority=prefill_priority)
+                                     prefill_priority=prefill_priority,
+                                     steplog=steplog)
     lines = []
     for r in service.requests:
         lines.append(

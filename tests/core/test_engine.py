@@ -170,6 +170,20 @@ class TestHotChannels:
                 shadow_weights_bytes=engine.shadow_weight_bytes())
             assert engine.memory_bytes(tokens) == want.total_bytes
 
+    @pytest.mark.parametrize("config", [
+        {}, {"pruning_rate": 0.0}, {"quant_mode": "per-tensor"},
+        {"hot_policy": HotChannelPolicy(enabled=False)},
+    ])
+    def test_cached_shadow_bytes_match_a_fresh_count(self, config):
+        engine = LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO, **config)
+        fresh = (0 if engine.config.quant_mode != "shadow"
+                 else shadow_weight_bytes(engine.model,
+                                          engine.n_unpruned_layers(),
+                                          engine.config.hot_policy))
+        assert engine.shadow_weight_bytes() == fresh
+        engine.infer(300, 2)
+        assert engine.shadow_weight_bytes() == fresh
+
     def test_disabled_cache_costs_more(self):
         full = shadow_weight_bytes(QWEN15_18B, 4,
                                    HotChannelPolicy(enabled=False))

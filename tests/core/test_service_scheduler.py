@@ -255,6 +255,59 @@ class TestRequestQueue:
         with pytest.raises(SchedulingError):
             RequestQueue("round-robin")
 
+    @pytest.mark.parametrize("mode", ["priority", "fifo"])
+    def test_cached_order_tracks_interleaved_push_pop(self, mode):
+        """Iteration, ids, tier depths and ``ahead_of`` match a fresh
+        sort after every push, pop and peek, including a pop that
+        empties the queue followed by a push."""
+        tiers = {10: INTERACTIVE_TIER, 0: BACKGROUND_TIER}
+
+        class TieredEntry(self.Entry):
+            @property
+            def tier(self):
+                return tiers[self.priority]
+
+        q = RequestQueue(mode)
+        live = []
+
+        def check():
+            want = sorted(live, key=q.key)
+            assert list(q) == want
+            assert q.ids() == tuple(e.request_id for e in want)
+            depths = {}
+            for e in want:
+                depths[e.tier.name] = depths.get(e.tier.name, 0) + 1
+            assert q.tier_depths() == tuple(sorted(depths.items()))
+            for e in want:
+                assert list(q.ahead_of(e)) == [
+                    o for o in want if q.precedes(o, e)]
+            if want:
+                assert q.peek() is want[0]
+            assert len(q) == len(want) and bool(q) == bool(want)
+
+        ops = ["push", "push", "pop", "push", "push", "push", "pop",
+               "pop", "pop", "push", "pop", "push", "push", "pop"]
+        for rid, op in enumerate(ops):
+            if op == "push":
+                e = TieredEntry(rid, priority=10 * (rid % 3 == 0),
+                                arrival_s=float((7 * rid) % 5))
+                live.append(e)
+                q.push(e)
+            else:
+                got = q.pop()
+                want = min(live, key=q.key)
+                assert got is want
+                live.remove(want)
+            check()
+        # a pop that empties the queue, then a push
+        while live:
+            live.remove(q.pop())
+        check()
+        e = TieredEntry(99, priority=0, arrival_s=0.0)
+        live.append(e)
+        q.push(e)
+        check()
+
 
 class TestApiValidation:
     def test_unknown_scheduler(self):

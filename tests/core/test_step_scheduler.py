@@ -17,6 +17,7 @@ job does).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,11 +30,14 @@ from repro.core import (  # noqa: E402
     ChunkContinuation,
     EngineConfig,
     LlmService,
+    StepItem,
+    StepRecord,
     TierPolicy,
     assemble_step,
 )
 from repro.eval import service_golden_records  # noqa: E402
 from repro.graph import chunk_token_lengths  # noqa: E402
+from repro.obs import SloMonitor, SloSpec, StepLogger  # noqa: E402
 
 MODEL = "Qwen1.5-1.8B"
 DEVICE = "Redmi K70 Pro"
@@ -330,3 +334,98 @@ class TestCrossContamination:
                     i.start_s, i.end_s) for i in s.items))
             for s in per_svc.steps
         ]
+
+
+class TestIncrementalState:
+    """The step loop's cached per-step state agrees with a recount."""
+
+    def test_step_record_sums_recount_its_items(self):
+        items = (
+            StepItem(0, "prefill", 32, 0.01, 0, 0.0, 0.01),
+            StepItem(1, "decode", 1, 0.002, 4, 0.01, 0.012),
+            StepItem(0, "prefill", 17, 0.01, 1, 0.012, 0.022),
+            StepItem(2, "decode", 1, 0.002, 0, 0.022, 0.024),
+        )
+        record = StepRecord(index=0, start_s=0.0, end_s=0.024, items=items,
+                            n_inflight=3, kv_reserved_bytes=0,
+                            budget_tokens=64)
+        prefill = sum(i.tokens for i in items if i.kind == "prefill")
+        decode = sum(i.tokens for i in items if i.kind == "decode")
+        assert (record.prefill_tokens, record.decode_tokens,
+                record.batch_tokens) == (prefill, decode, prefill + decode)
+        assert record.budget_utilization == (prefill + decode) / 64
+        shorter = replace(record, items=items[:2])
+        assert (shorter.prefill_tokens, shorter.decode_tokens) == (32, 1)
+        empty = StepRecord(index=1, start_s=0.0, end_s=0.0, items=(),
+                           n_inflight=0, kv_reserved_bytes=0)
+        assert empty.batch_tokens == 0
+
+    @given(reqs=requests_strategy, cfg=config_strategy)
+    def test_recorded_sums_match_items(self, reqs, cfg):
+        svc = run_batched(reqs, *cfg)
+        for step in svc.steps:
+            assert step.prefill_tokens == sum(
+                i.tokens for i in step.items if i.kind == "prefill")
+            assert step.decode_tokens == sum(
+                i.tokens for i in step.items if i.kind == "decode")
+            assert step.n_inflight >= len({i.request_id
+                                           for i in step.items})
+
+    @staticmethod
+    def two_batch_service(observer=None):
+        """A batched service run twice: ``observer`` attaches between
+        the runs (None: a StepLogger attached up front is returned)."""
+        svc = LlmService(
+            DEVICE, EngineConfig(chunk_len=CHUNK), scheduler="priority",
+            admission=False, tiers=OPEN_TIERS,
+            batching=BatchConfig(max_batch_tokens=2 * CHUNK,
+                                 max_concurrency=2))
+        early = StepLogger().attach(svc) if observer is None else None
+        for i in range(3):
+            svc.enqueue(MODEL, 40 + 20 * i, 3, arrival_s=0.01 * i)
+        svc.run()
+        n_steps = len(svc.steps)
+        n_decisions = 0 if early is None else len(early.decisions)
+        if observer is not None:
+            observer.attach(svc)
+        for i in range(3):
+            svc.enqueue(MODEL, 70 - 20 * i, 2, arrival_s=0.5 + 0.01 * i,
+                        tier="background")
+        svc.run()
+        return svc, early, n_steps, n_decisions
+
+    def test_late_observer_receives_later_decisions(self):
+        full_svc, full, n_steps, n_decisions = self.two_batch_service()
+        late = StepLogger()
+        svc, _, late_steps, _ = self.two_batch_service(late)
+        assert late_steps == n_steps
+        assert 0 < n_steps < len(svc.steps)
+        assert late.steps == svc.steps[n_steps:] \
+            == full.steps[n_steps:]
+        assert late.decisions == full.decisions[n_decisions:]
+        assert {d.action for d in late.decisions} >= {
+            "admitted", "started", "chunk-scheduled", "decode-scheduled",
+            "completed"}
+
+    def test_logger_and_monitor_each_see_the_full_stream(self):
+        monitor = SloMonitor([SloSpec(name="avail",
+                                      objective="availability",
+                                      target=0.9)])
+        svc = LlmService(
+            DEVICE, EngineConfig(chunk_len=CHUNK), scheduler="priority",
+            admission=False, tiers=OPEN_TIERS,
+            batching=BatchConfig(max_batch_tokens=CHUNK,
+                                 prefill_priority=0.0))
+        log = StepLogger().attach(svc)
+        monitor.attach(svc)
+        for i in range(6):
+            svc.enqueue(MODEL, 20 + 9 * i, 1 + i % 3, arrival_s=0.0)
+        svc.run()
+        assert log.steps == svc.steps
+        assert monitor.n_steps == len(svc.steps)
+        mix = {}
+        for d in log.decisions:
+            mix[d.action] = mix.get(d.action, 0) + 1
+        assert monitor.decision_counts() == dict(sorted(mix.items()))
+        assert mix.get("budget-exhausted", 0) > 0
+        assert mix["completed"] == 6
