@@ -17,8 +17,9 @@ a refactor pass.  A mismatch means the scheduler's output moved.
 ``decode-rotated-out`` has no case: the service can never hold more
 decoders than ``max_batch_tokens``.  A request becomes a decoder only by
 executing its last prefill chunk, which spends at least one token of
-the budget left over after that step's decode tokens, so the decoder
-count after any step is at most the budget.  The ``tight-budget`` case
+the budget left over after that step's decode tokens (no chunk from
+``chunk_token_lengths`` is empty), so the decoder count after any step
+is at most the budget.  The ``tight-budget`` case
 runs at that bound instead (decoders fill the whole budget and every
 waiting prefill is ``budget-exhausted``); the rotation window itself is
 covered by ``TestAssembleStepUnit``.
