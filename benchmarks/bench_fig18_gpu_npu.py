@@ -14,8 +14,8 @@ def test_fig18_regenerates(once):
                  prompt_lens=(256, 512, 1024), output_tokens=16)
     show_and_archive(table, "fig18.txt")
 
-    cpu = {row[1]: row for row in table.rows if row[0] == "CPU-NPU"}
-    gpu = {row[1]: row for row in table.rows if row[0] == "GPU-NPU"}
+    cpu = {int(row[1]): row for row in table.rows if row[0] == "CPU-NPU"}
+    gpu = {int(row[1]): row for row in table.rows if row[0] == "GPU-NPU"}
 
     for prompt in (256, 512, 1024):
         # (a) prefill speed is similar between coordination modes

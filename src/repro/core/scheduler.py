@@ -51,9 +51,14 @@ class OutOfOrderPolicy(SchedulingPolicy):
     cheaper one frees this processor sooner to unlock the next batch —
     a refinement that keeps the schedule monotone in the shadow-pruning
     rate without departing from Eq. 5's primary criterion.
+
+    ``eq5`` declares this rule, so :class:`~repro.hw.sim.Simulator`
+    evaluates it on its own arrays; ``select`` is the definition that
+    :class:`~repro.hw.sim.ReferenceSimulator` and subclasses run.
     """
 
     name = "llm.npu-ooo"
+    eq5 = "absolute"
 
     def select(self, proc: str, ready: List[Task],
                context: SimContext) -> Task:
@@ -77,6 +82,7 @@ class NormalizedOooPolicy(SchedulingPolicy):
     """
 
     name = "llm.npu-ooo-normalized"
+    eq5 = "normalized"
 
     def select(self, proc: str, ready: List[Task],
                context: SimContext) -> Task:

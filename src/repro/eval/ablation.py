@@ -200,7 +200,8 @@ def short_prompt_crossover(
         a = npu.prefill(p).latency_s * 1e3
         b = gpu.prefill(p).latency_s * 1e3
         h = hybrid.prefill(p).latency_s * 1e3
-        table.add_row(p, a, b, h, hybrid.pick(p))
+        # The prompt is a text cell so that it labels the row's metrics.
+        table.add_row(str(p), a, b, h, hybrid.pick(p))
     table.add_note(
         f"profiled crossover: {hybrid.crossover_tokens} tokens — below it, "
         "llm.npu's mandatory full-chunk padding loses to the GPU engine; "

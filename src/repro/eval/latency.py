@@ -260,8 +260,10 @@ def fig18_coordination(
         ))
         for p in prompt_lens:
             report = engine.infer(p, output_tokens)
+            # The prompt is a text cell so that, with the coordination,
+            # it labels the row's metrics.
             table.add_row(
-                f"{backend.upper()}-NPU", p,
+                f"{backend.upper()}-NPU", str(p),
                 report.prefill_tokens_per_s,
                 report.decode_latency_s,
                 report.e2e_latency_s,

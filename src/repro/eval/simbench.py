@@ -9,20 +9,20 @@ to gate the simulator's event loop: under :class:`~repro.hw.sim.FifoPolicy`
 ``Simulator`` must stay at least :data:`SIM_SPEEDUP_FLOOR` times faster
 than the kept-verbatim :class:`~repro.hw.sim.ReferenceSimulator` *while
 producing byte-identical traces* — both halves are checked here, in the
-same run.  The engine's default ``ooo`` policy takes the loop's
-``select`` branch instead; one ungated row times it on a real prefill
-DAG (:data:`PREFILL_DAG`), also against the reference, and its
-end-to-end host cost is measured by ``benchmarks/host``.
+same run.  The engine's default ``ooo`` policy, which the loop ranks
+by its declared Eq. 5 rule, has its own row and floor,
+:data:`OOO_SPEEDUP_FLOOR`, on a real prefill DAG (:data:`PREFILL_DAG`);
+its end-to-end host cost is measured by ``benchmarks/host``.
 
 Wall-clock throughput numbers are machine-dependent, so they are
 published under ``info`` column names (never gated by
 ``llmnpu bench-compare``).  The gated metrics are deterministic:
 
 * ``speedup floor x`` — the contract value.  When the measured speedup
-  clears the floor the cell is exactly :data:`SIM_SPEEDUP_FLOOR`
-  (byte-stable against the committed golden); when it does not, the
-  measured value is recorded so the artifact comparison fails alongside
-  the benchmark's own assertion.
+  clears its row's floor (:data:`SIM_SPEEDUP_FLOORS`) the cell is
+  exactly that floor (byte-stable against the committed golden); when
+  it does not, the measured value is recorded so the artifact
+  comparison fails alongside the benchmark's own assertion.
 * task/token/device counts — pure functions of the scenario seeds.
 """
 
@@ -30,29 +30,48 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.eval.report import Table
 
-#: Minimum Simulator-vs-reference sim-core speedup the gate enforces.
+#: Minimum Simulator-vs-reference sim-core speedup under FIFO on the
+#: synthetic scenarios that stress the ready-list scan.
 SIM_SPEEDUP_FLOOR = 3.0
 
+#: Minimum Simulator-vs-reference speedup under the engine's ``ooo``
+#: policy on :data:`PREFILL_DAG` (2.2-2.9x measured on a 2-vCPU host).
+OOO_SPEEDUP_FLOOR = 1.5
 
-def _best_of(fn: Callable[[], object],
-             repeats: int) -> Tuple[float, object]:
-    """Run ``fn`` ``repeats`` times; return (best wall seconds, last result)."""
+#: The gated rows of :func:`sim_core_speed` and their floors; the
+#: ``chain`` row (a ready list of one) is recorded for information only.
+SIM_SPEEDUP_FLOORS: Dict[str, float] = {
+    "wide": SIM_SPEEDUP_FLOOR,
+    "mixed": SIM_SPEEDUP_FLOOR,
+    "prefill-ooo": OOO_SPEEDUP_FLOOR,
+}
+
+
+def _best_of(fns: Sequence[Callable[[], object]],
+             repeats: int) -> List[Tuple[float, object]]:
+    """Run each of ``fns`` ``repeats`` times; return (best wall seconds,
+    last result) per function.
+
+    The functions take turns, so a host that slows down for seconds at a
+    time slows every one of them rather than only the last.
+    """
     if repeats < 1:
         raise ReproError(f"repeats must be >= 1, got {repeats}")
-    best = float("inf")
-    result: object = None
+    best = [float("inf")] * len(fns)
+    results: List[object] = [None] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        for k, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[k] = fn()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return list(zip(best, results))
 
 
 # -- sim core -----------------------------------------------------------------
@@ -66,23 +85,19 @@ class SimScenario:
     n_tasks: int
     dep_window: int  #: deps drawn from the preceding ``dep_window`` tasks
     max_fanin: int   #: 0..max_fanin deps per task (0 => independent)
-    gated: bool      #: whether this scenario must clear the speedup floor
 
 
 #: The benchmarked shapes.  ``wide``/``mixed`` stress the ready-list scan
-#: that the per-processor key heaps replace and carry the speedup gate; a
-#: pure dependency ``chain`` keeps the ready list at one entry (little for
-#: the key heaps to win) and is recorded for information only.
+#: that the per-processor key heaps replace; a pure dependency ``chain``
+#: keeps the ready list at one entry (little for the key heaps to win).
 SIM_SCENARIOS: Tuple[SimScenario, ...] = (
-    SimScenario("wide", n_tasks=2000, dep_window=0, max_fanin=0, gated=True),
-    SimScenario("mixed", n_tasks=2000, dep_window=256, max_fanin=2,
-                gated=True),
-    SimScenario("chain", n_tasks=1000, dep_window=1, max_fanin=1,
-                gated=False),
+    SimScenario("wide", n_tasks=2000, dep_window=0, max_fanin=0),
+    SimScenario("mixed", n_tasks=2000, dep_window=256, max_fanin=2),
+    SimScenario("chain", n_tasks=1000, dep_window=1, max_fanin=1),
 )
 
 
-#: The ungated ``ooo`` row's DAG: the engine's prefill of ``n_chunks``
+#: The ``prefill-ooo`` row's DAG: the engine's prefill of ``n_chunks``
 #: full chunks of ``model`` on ``device`` (1776 tasks with shadow work).
 PREFILL_DAG = {"model": "LlaMA-2-7B", "device": "Redmi K70 Pro",
                "n_chunks": 8}
@@ -141,17 +156,14 @@ def sim_core_speed(repeats: int = 3, seed: int = 0) -> Table:
         columns=["scenario", "tasks", "ref keps", "fast keps",
                  "measured x", "speedup floor x"],
     )
-    cases = [(scenario.name, "fifo", scenario.gated,
+    cases = [(scenario.name, "fifo",
               synthetic_task_graph(scenario, seed=seed))
              for scenario in SIM_SCENARIOS]
-    cases.append(("prefill-ooo", "ooo", False, prefill_task_graph()))
-    for name, policy, gated, (procs, tasks) in cases:
-        ref_s, ref_trace = _best_of(
-            lambda: ReferenceSimulator(procs).run(tasks, get_policy(policy)),
-            repeats,
-        )
-        fast_s, fast_trace = _best_of(
-            lambda: Simulator(procs).run(tasks, get_policy(policy)),
+    cases.append(("prefill-ooo", "ooo", prefill_task_graph()))
+    for name, policy, (procs, tasks) in cases:
+        (ref_s, ref_trace), (fast_s, fast_trace) = _best_of(
+            [lambda: ReferenceSimulator(procs).run(tasks, get_policy(policy)),
+             lambda: Simulator(procs).run(tasks, get_policy(policy))],
             repeats,
         )
         if fast_trace.events != ref_trace.events:
@@ -160,10 +172,10 @@ def sim_core_speed(repeats: int = 3, seed: int = 0) -> Table:
                 f"diverged from the reference simulator"
             )
         speedup = ref_s / fast_s
+        floor = SIM_SPEEDUP_FLOORS.get(name)
         gate: Optional[float] = None
-        if gated:
-            gate = (SIM_SPEEDUP_FLOOR if speedup >= SIM_SPEEDUP_FLOOR
-                    else speedup)
+        if floor is not None:
+            gate = floor if speedup >= floor else speedup
         table.add_row(
             name, len(tasks),
             len(tasks) / ref_s / 1e3, len(tasks) / fast_s / 1e3,
@@ -174,24 +186,24 @@ def sim_core_speed(repeats: int = 3, seed: int = 0) -> Table:
         "(machine-dependent, informational)"
     )
     table.add_note(
-        f"'speedup floor x' is the gated contract: exactly "
-        f"{SIM_SPEEDUP_FLOOR:g} while the measured speedup clears the "
-        f"floor; 'chain' is ungated (ready list of one)"
+        f"'speedup floor x' is the gated contract: exactly the row's "
+        f"floor while the measured speedup clears it "
+        f"({SIM_SPEEDUP_FLOOR:g} under fifo, {OOO_SPEEDUP_FLOOR:g} for "
+        f"'prefill-ooo'); 'chain' is ungated (ready list of one)"
     )
     table.add_note(
         "'prefill-ooo' is the engine's default policy on a real prefill "
-        "DAG: informational, ungated until ooo has an indexed select"
+        "DAG"
     )
     return table
 
 
-def min_gated_sim_speedup(table: Table) -> float:
-    """Smallest measured speedup across the gated sim scenarios (the rows
-    with a floor cell)."""
-    speedups = [row[4] for row in table.rows if row[5] is not None]
-    if not speedups:
-        raise ReproError("no gated sim scenarios in table")
-    return float(min(speedups))
+def sim_floor_misses(table: Table) -> List[str]:
+    """The gated rows of a :func:`sim_core_speed` table whose measured
+    speedup is below their :data:`SIM_SPEEDUP_FLOORS` floor."""
+    return [row[0] for row in table.rows
+            if row[0] in SIM_SPEEDUP_FLOORS
+            and row[4] < SIM_SPEEDUP_FLOORS[row[0]]]
 
 
 # -- quant hot path -----------------------------------------------------------
@@ -225,7 +237,7 @@ def quant_speed(tokens: int = 2048, width: int = 512, out_features: int = 512,
             weight, act_scale, shadow_enabled=enabled,
             hot_channels=hot if enabled else None, name=f"bench-{label}",
         )
-        wall_s, _ = _best_of(lambda: layer(x), repeats)
+        [(wall_s, _)] = _best_of([lambda: layer(x)], repeats)
         table.add_row(
             label, tokens, width,
             int(layer.outlier_columns(x).size),
@@ -258,9 +270,9 @@ def fleet_speed(n_devices: int = 4, seed: int = 42,
     from repro.obs import DEFAULT_RULES
 
     specs = default_fleet(n_devices=n_devices, seed=seed)
-    wall_s, payloads = _best_of(
-        lambda: _device_payloads(specs, FLEET_SLOS, DEFAULT_RULES,
-                                 workers=workers),
+    [(wall_s, payloads)] = _best_of(
+        [lambda: _device_payloads(specs, FLEET_SLOS, DEFAULT_RULES,
+                                  workers=workers)],
         repeats=1,
     )
     table = Table(

@@ -13,6 +13,7 @@ import heapq
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -192,6 +193,14 @@ class Task:
             )
 
 
+_task_id = attrgetter("task_id")
+_proc = attrgetter("proc")
+_duration = attrgetter("duration_s")
+_deps = attrgetter("deps")
+_tag = attrgetter("tag")
+_ops = attrgetter("ops")
+
+
 class SchedulingPolicy:
     """Chooses which ready task a newly-idle processor runs next.
 
@@ -200,9 +209,9 @@ class SchedulingPolicy:
     index.  The derived :meth:`select` runs the smallest key among the
     ready tasks, and :class:`Simulator` keeps each processor's ready set
     as a heap of keys instead of calling it.  A policy whose choice
-    depends on the live schedule (the out-of-order heuristic) overrides
-    :meth:`select`, which the simulator then calls at every decision
-    point.
+    depends on the live schedule overrides :meth:`select`, which the
+    simulator then calls at every decision point, unless the class that
+    defines it declares one of the rules below.
 
     ``select`` may return ``None`` to deliberately keep the processor idle
     until the next completion event — how head-of-line-blocking command
@@ -211,10 +220,24 @@ class SchedulingPolicy:
     promises that ``select`` runs the processor's smallest-key unfinished
     task once it is ready and idles otherwise; the simulator then keeps a
     heap of every task on the processor and never calls ``select``.
+
+    ``eq5``, declared the same way, promises that ``select`` is the
+    out-of-order heuristic's max-C rule (§3.4, Eq. 5) over the ready
+    tasks, with ``C(g)`` as
+    :func:`~repro.core.scheduler.newly_ready_npu_time` computes it and
+    negated on the ``"npu"`` processor:
+
+    * ``"absolute"`` ranks by ``(C(g), -duration, -submit index)``;
+    * ``"normalized"`` ranks by
+      ``(C(g) / max(duration, 1e-9), -submit index)``.
+
+    The simulator then evaluates the rule on its own arrays and never
+    calls ``select``.
     """
 
     name = "base"
     in_order = False
+    eq5: Optional[str] = None
 
     def key(self, task: Task, index: int):
         """Static priority of ``task`` (submit index ``index``); smallest
@@ -246,20 +269,10 @@ class SimContext:
     dependents: Mapping[str, Tuple[str, ...]]
     completed: Set[str]
     now_s: float
-    #: Live unfinished-dependency counts maintained incrementally by the
-    #: simulator (distinct deps).  Policies see a consistent view: the
-    #: counts are only read at dispatch points, after every completion
-    #: of the current sim instant has been folded in.
-    missing: Optional[Mapping[str, int]] = None
-    #: Tasks whose ``deps`` tuple contains duplicates — for those the
-    #: incremental count (which de-duplicates) disagrees with the
-    #: historical definition below, so they take the slow path.
-    dup_deps: frozenset = frozenset()
 
     def remaining_deps(self, task_id: str) -> int:
-        missing = self.missing
-        if missing is not None and task_id not in self.dup_deps:
-            return missing[task_id]
+        """Unfinished entries of the task's ``deps``; a repeated
+        dependency counts once per occurrence."""
         task = self.tasks[task_id]
         return sum(1 for d in task.deps if d not in self.completed)
 
@@ -269,32 +282,46 @@ def _key_order(policy: SchedulingPolicy) -> Optional[str]:
 
     ``"ready"`` when ``select`` is the base class's smallest-key scan,
     ``"head"`` when the class defining ``select`` declares ``in_order``,
-    and ``None`` when ``select`` is overridden and must be called — so a
+    that class's ``eq5`` rule (``"absolute"`` or ``"normalized"``) when
+    it declares one, and ``None`` when ``select`` must be called — so a
     subclass that overrides ``select`` is always honored.
     """
     owner = next(c for c in type(policy).__mro__ if "select" in vars(c))
     if owner is SchedulingPolicy:
         return "ready"
-    if vars(owner).get("in_order", False):
+    declared = vars(owner)
+    if declared.get("in_order", False):
         return "head"
-    return None
+    rule = declared.get("eq5")
+    if rule not in (None, "absolute", "normalized"):
+        raise SchedulingError(
+            f"policy {policy.name!r}: unknown eq5 rule {rule!r}"
+        )
+    return rule
 
 
 class Simulator:
     """List scheduler over a fixed set of serial processors.
 
-    One event loop, with the ready set kept in one of two forms:
+    One event loop over integer task indices: each task's processor,
+    duration, dependents and unfinished-dependency count live in lists,
+    and a processor's ready set takes one of three forms, chosen by
+    :func:`_key_order`:
 
-    * for a **static-key** policy, each processor's ready set is a heap
-      of ``(key, ready order, task)``, with keys computed once per task
-      (see :meth:`SchedulingPolicy.key`).  An ``in_order`` policy's heap
-      holds every task on the processor from the start, and the top is
+    * for a **static-key** policy, a heap of ``(key, ready order,
+      index)``, with keys computed once per task (see
+      :meth:`SchedulingPolicy.key`).  An ``in_order`` policy's heap holds
+      every task on the processor from the start, and the top is
       dispatched only once its dependencies are done;
-    * for a policy that overrides ``select``, each processor's ready set
-      is a list handed to ``select``, with an incrementally-maintained
-      unfinished-dependency count in :attr:`SimContext.missing`
-      (``remaining_deps`` drops from O(deps) to O(1), which is the inner
-      loop of the out-of-order heuristic's Eq. 5 contribution scan).
+    * for a policy that declares an ``eq5`` rule, a list of indices that
+      the simulator ranks by the declared Eq. 5 key at each decision
+      point, reading the unfinished-dependency counts directly;
+    * for any other policy, the same list handed to ``select`` as
+      :class:`Task` values, with a :class:`SimContext`.
+
+    The unfinished-dependency count counts a repeated dependency once
+    per occurrence, as :meth:`SimContext.remaining_deps` does, so Eq. 5
+    sees the same counts as the policy's own ``select``.
 
     :class:`ReferenceSimulator` keeps the original per-event loop as the
     executable specification; ``benchmarks/bench_sim_speed.py`` measures
@@ -308,6 +335,7 @@ class Simulator:
             raise SchedulingError("simulator needs at least one processor")
 
     def _validate(self, tasks: List[Task]) -> Dict[str, Task]:
+        """Tasks by id, after checking the graph in task order."""
         by_id = {t.task_id: t for t in tasks}
         if len(by_id) != len(tasks):
             raise DependencyError("duplicate task ids")
@@ -324,6 +352,32 @@ class Simulator:
                     )
         return by_id
 
+    def _index(self, tasks: List[Task]
+               ) -> Tuple[List[str], List[int], List[List[int]]]:
+        """Each task's id and processor index (a repeated processor name
+        maps to its first position), and its dependents in task order,
+        once per occurrence in their ``deps``.
+
+        Invalid tasks raise :meth:`_validate`'s first error.
+        """
+        ids = list(map(_task_id, tasks))
+        index = dict(zip(ids, range(len(ids))))
+        proc_index: Dict[str, int] = {}
+        for k, name in enumerate(self.processor_names):
+            proc_index.setdefault(name, k)
+        proc_of = list(map(proc_index.get, map(_proc, tasks)))
+        dependents: List[List[int]] = [[] for _ in ids]
+        try:
+            if len(index) != len(ids) or None in proc_of:
+                raise KeyError
+            for i, t in enumerate(tasks):
+                for d in t.deps:
+                    dependents[index[d]].append(i)
+        except KeyError:
+            self._validate(tasks)
+            raise
+        return ids, proc_of, dependents
+
     def run(self, tasks: List[Task],
             policy: Optional[SchedulingPolicy] = None) -> Trace:
         """Execute the task graph; returns the trace.
@@ -332,117 +386,148 @@ class Simulator:
         tasks assigned to unknown processors.
         """
         policy = policy if policy is not None else FifoPolicy()
-        by_id = self._validate(tasks)
+        ids, proc_of, dependents = self._index(tasks)
         order = _key_order(policy)
-        procs = self.processor_names
-        submit_index = {t.task_id: i for i, t in enumerate(tasks)}
-        dependents: Dict[str, List[str]] = {t.task_id: [] for t in tasks}
-        missing: Dict[str, int] = {}
-        dup_deps = set()
-        for t in tasks:
-            unique = set(t.deps)
-            missing[t.task_id] = len(unique)
-            if len(unique) != len(t.deps):
-                dup_deps.add(t.task_id)
-            for d in unique:
-                dependents[d].append(t.task_id)
+        names = self.processor_names
+        n_tasks = len(tasks)
+        durations = list(map(_duration, tasks))
+        remaining = list(map(len, map(_deps, tasks)))
+        initial = [i for i in range(n_tasks) if not remaining[i]]
 
-        heappush, heappop = heapq.heappush, heapq.heappop
-        completed: Set[str] = set()
-        if order is None:
-            ready: Dict[str, List[Task]] = {p: [] for p in procs}
-            context = SimContext(
-                tasks=by_id,
-                submit_index=submit_index,
-                dependents={k: tuple(v) for k, v in dependents.items()},
-                completed=completed,
-                now_s=0.0,
-                missing=missing,
-                dup_deps=frozenset(dup_deps),
-            )
-
-            def on_ready(task: Task) -> None:
-                ready[task.proc].append(task)
+        heaps = ready = select = context = completed = None
+        head = order == "head"
+        if order == "ready" or head:
+            keys = [policy.key(t, i) for i, t in enumerate(tasks)]
+            heaps = [[] for _ in names]
+            # The push count breaks key ties in ready order, exactly as
+            # select's min() over the ready list does; an in-order queue
+            # holds every task up front.
+            for i in (range(n_tasks) if head else initial):
+                heaps[proc_of[i]].append((keys[i], i, i))
+            for heap in heaps:
+                heapq.heapify(heap)
+            pushes = n_tasks
         else:
-            heaps: Dict[str, List[Tuple[object, int, Task]]] = {
-                p: [] for p in procs
-            }
-            keys = {t.task_id: policy.key(t, i) for i, t in enumerate(tasks)}
-            # Ready order breaks key ties exactly as select's min() over
-            # the ready list does.
-            pushes = itertools.count()
-
-            def push(task: Task) -> None:
-                heappush(heaps[task.proc],
-                         (keys[task.task_id], next(pushes), task))
-
-            on_ready = (lambda task: None) if order == "head" else push
-        for t in tasks:
-            if order == "head":
-                push(t)  # the command queue holds every task up front
-            elif missing[t.task_id] == 0:
-                on_ready(t)
-
-        trace = Trace()
-        events = trace.events
-        # (finish_time, seq, task) heap of running tasks; seq breaks ties.
-        running: List[Tuple[float, int, Task]] = []
-        seq = itertools.count()
-        proc_busy: Dict[str, bool] = {p: False for p in procs}
-        now = 0.0
-
-        def dispatch() -> None:
+            ready = [[] for _ in names]
+            for i in initial:
+                ready[proc_of[i]].append(i)
             if order is None:
-                context.now_s = now
-            for proc in procs:
-                if proc_busy[proc]:
+                select = policy.select
+                completed = set()
+                context = SimContext(
+                    tasks={t.task_id: t for t in tasks},
+                    submit_index={t.task_id: i for i, t in enumerate(tasks)},
+                    dependents={
+                        t.task_id: tuple(tasks[d].task_id
+                                         for d in dict.fromkeys(deps))
+                        for t, deps in zip(tasks, dependents)},
+                    completed=completed,
+                    now_s=0.0,
+                )
+            else:
+                # Eq. 5 sums, in dependents order, the durations of NPU
+                # dependents whose only unfinished dependency is the
+                # candidate; a repeat keeps its count above one.
+                npu = names.index("npu") if "npu" in names else -1
+                npu_dependents = [
+                    [d for d in deps if proc_of[d] == npu]
+                    for deps in dependents]
+                per_second = order == "normalized"
+                if per_second:
+                    divisors = [max(d, 1e-9) for d in durations]
+
+        tags = list(map(_tag, tasks))
+        ops = list(map(_ops, tasks))
+        trace = Trace()
+        append = trace.events.append
+        new = tuple.__new__
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # (finish time, dispatch count, index) heap of running tasks.
+        running: List[Tuple[float, int, int]] = []
+        busy = [False] * len(names)
+        n_started = 0
+        now = 0.0
+        while True:
+            for p, proc in enumerate(names):
+                if busy[p]:
                     continue
-                if order is None:
-                    if not ready[proc]:
-                        continue
-                    task = policy.select(proc, list(ready[proc]), context)
-                    if task is None:
-                        continue  # policy keeps the processor idle for now
-                    if task not in ready[proc]:
-                        raise SchedulingError(
-                            f"policy {policy.name!r} selected a non-ready "
-                            f"task"
-                        )
-                    ready[proc].remove(task)
-                else:
-                    heap = heaps[proc]
-                    if not heap or (order == "head"
-                                    and missing[heap[0][2].task_id]):
+                if heaps is not None:
+                    heap = heaps[p]
+                    if not heap or (head and remaining[heap[0][2]]):
                         continue  # empty, or head-of-line blocked
-                    task = heappop(heap)[2]
-                proc_busy[proc] = True
-                end = now + task.duration_s
-                heappush(running, (end, next(seq), task))
-                events.append(TraceEvent(task.task_id, proc, now, end,
-                                         task.tag, ops=task.ops))
-
-        def release(task_id: str) -> None:
-            completed.add(task_id)
-            for dep_id in dependents[task_id]:
-                missing[dep_id] -= 1
-                if missing[dep_id] == 0:
-                    on_ready(by_id[dep_id])
-
-        dispatch()
-        while running:
-            now, _, finished = heappop(running)
-            proc_busy[finished.proc] = False
-            # Drain co-terminating tasks so dispatch sees all frees at
-            # once; their dependents are released before ``finished``'s.
+                    i = heappop(heap)[2]
+                else:
+                    candidates = ready[p]
+                    if not candidates:
+                        continue
+                    if select is not None:
+                        context.now_s = now
+                        choice = select(proc, [tasks[j] for j in candidates],
+                                        context)
+                        if choice is None:
+                            continue  # the policy keeps the processor idle
+                        try:
+                            pos = [tasks[j] for j in candidates].index(choice)
+                        except ValueError:
+                            raise SchedulingError(
+                                f"policy {policy.name!r} selected a "
+                                f"non-ready task"
+                            ) from None
+                        i = candidates.pop(pos)
+                    elif len(candidates) == 1:
+                        i = candidates.pop()
+                    else:
+                        sign = -1.0 if p == npu else 1.0
+                        i = -1
+                        for g in candidates:
+                            total = 0.0
+                            for d in npu_dependents[g]:
+                                if remaining[d] == 1:
+                                    total += durations[d]
+                            c = sign * total
+                            if per_second:
+                                c = c / divisors[g]
+                                if i < 0 or c > best_c or (
+                                        c == best_c and g < i):
+                                    i, best_c = g, c
+                            elif i < 0 or c > best_c or c == best_c and (
+                                    durations[g] < durations[i]
+                                    or durations[g] == durations[i]
+                                    and g < i):
+                                i, best_c = g, c
+                        candidates.remove(i)
+                busy[p] = True
+                end = now + durations[i]
+                heappush(running, (end, n_started, i))
+                n_started += 1
+                append(new(TraceEvent,
+                           (ids[i], proc, now, end, tags[i], ops[i])))
+            if not running:
+                break
+            now, _, i = heappop(running)
+            # Co-terminating tasks are released before the first one, so
+            # dispatch sees every processor freed at this instant.
+            finished = [i]
             while running and running[0][0] == now:
-                other = heappop(running)[2]
-                proc_busy[other.proc] = False
-                release(other.task_id)
-            release(finished.task_id)
-            dispatch()
+                finished.insert(-1, heappop(running)[2])
+            for i in finished:
+                busy[proc_of[i]] = False
+                if completed is not None:
+                    completed.add(ids[i])
+                for d in dependents[i]:
+                    left = remaining[d] - 1
+                    remaining[d] = left
+                    if not left:
+                        if ready is not None:
+                            ready[proc_of[d]].append(d)
+                        elif not head:
+                            heappush(heaps[proc_of[d]],
+                                     (keys[d], pushes, d))
+                            pushes += 1
 
-        if len(completed) != len(tasks):
-            stuck = [t.task_id for t in tasks if t.task_id not in completed]
+        if n_started != n_tasks:
+            ran = set(e.task_id for e in trace.events)
+            stuck = [t.task_id for t in tasks if t.task_id not in ran]
             raise DependencyError(
                 f"deadlock: {len(stuck)} tasks never became ready "
                 f"(cyclic dependencies?): {stuck[:5]}"
@@ -456,8 +541,8 @@ class ReferenceSimulator(Simulator):
 
     Byte-for-byte the pre-vectorization implementation: per-dispatch
     ready-list copies, O(ready) policy scans, per-dependency recount in
-    ``remaining_deps`` (no :attr:`SimContext.missing`).  The speedup
-    benchmark (``benchmarks/bench_sim_speed.py``) measures
+    ``remaining_deps``, and a ``select`` call at every decision.  The
+    speedup benchmark (``benchmarks/bench_sim_speed.py``) measures
     :class:`Simulator` against this on identical task graphs, and the
     equivalence tests require identical traces — so the key heaps and
     incremental bookkeeping can never silently drift from the specified

@@ -9,14 +9,18 @@ spends stalled, 37% for naive in-order overlap on the critical path).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import SchedulingError
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One task execution interval."""
+class TraceEvent(NamedTuple):
+    """One task execution interval.
+
+    An immutable tuple, so the simulator builds one per dispatch at the
+    cost of a tuple; it compares equal to a plain tuple of its fields.
+    """
 
     task_id: str
     proc: str
@@ -30,6 +34,9 @@ class TraceEvent:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
+
+
+_start = attrgetter("start_s")
 
 
 @dataclass
@@ -116,8 +123,11 @@ class Trace:
 
     def validate_serial(self) -> None:
         """Check no two tasks overlap on the same processor (Eq. 4)."""
-        for proc in self.processors():
-            events = self.events_on(proc)
+        by_proc: Dict[str, List[TraceEvent]] = {}
+        for e in self.events:
+            by_proc.setdefault(e.proc, []).append(e)
+        for proc in sorted(by_proc):
+            events = sorted(by_proc[proc], key=_start)
             for a, b in zip(events, events[1:]):
                 if b.start_s < a.end_s - 1e-12:
                     raise SchedulingError(

@@ -1,9 +1,10 @@
 """The simulator's one event loop vs the reference implementation.
 
 ``Simulator.run`` keeps a per-processor heap of static keys for policies
-whose order is fixed before the run and calls ``select`` with O(1)
-dependency bookkeeping for everything else; :class:`ReferenceSimulator`
-keeps the original per-event implementation verbatim.  These tests pin
+whose order is fixed before the run, evaluates a declared Eq. 5 rule on
+its own arrays for the out-of-order policies, and calls ``select`` for
+everything else; :class:`ReferenceSimulator` keeps the original
+per-event implementation verbatim.  These tests pin
 the only property that makes the speedup legitimate: *every* policy, on
 *every* graph shape — random, synthetic and real prefill DAGs — produces
 a byte-identical trace from both simulators, including error paths.
@@ -23,7 +24,7 @@ from repro.core.scheduler import (
     OutOfOrderPolicy,
     get_policy,
 )
-from repro.errors import DependencyError
+from repro.errors import DependencyError, SchedulingError
 from repro.eval.simbench import SIM_SCENARIOS, synthetic_task_graph
 from repro.hw.sim import (
     FifoPolicy,
@@ -103,19 +104,32 @@ class TestTraceEquivalence:
         assert fast.events == ref.events
 
     def test_duplicate_deps_tuple(self):
-        # deps with repeats hit the dup_deps recount fallback of the
-        # select branch's O(1) bookkeeping, and must leave the key heaps'
-        # readiness (distinct deps) consistent with the reference.
-        tasks = [
-            Task("a", "cpu", 1e-4),
-            Task("b", "npu", 1e-4, deps=("a", "a")),
-            Task("c", "cpu", 1e-4, deps=("b", "a", "b")),
-            Task("d", "cpu", 2e-4),
+        # A repeated dependency counts once per occurrence in Eq. 5's
+        # remaining-dependency test (SimContext.remaining_deps), so n1
+        # (deps a, a) is not unlocked by a alone: with distinct counts
+        # the ooo policies would run a before b and diverge.  Readiness
+        # must still wait for every occurrence to finish.
+        graphs = [
+            [
+                Task("a", "cpu", 1e-4),
+                Task("b", "npu", 1e-4, deps=("a", "a")),
+                Task("c", "cpu", 1e-4, deps=("b", "a", "b")),
+                Task("d", "cpu", 2e-4),
+            ],
+            [
+                Task("a", "cpu", 1.0),
+                Task("b", "cpu", 1.0),
+                Task("n1", "npu", 5.0, deps=("a", "a")),
+                Task("n2", "npu", 1.0, deps=("b",)),
+                Task("z", "npu", 0.5),
+            ],
         ]
         for policy_cls in POLICY_CLASSES:
-            fast = Simulator(PROCS).run(tasks, policy_cls())
-            ref = ReferenceSimulator(PROCS).run(tasks, policy_cls())
-            assert fast.events == ref.events, policy_cls.__name__
+            for tasks in graphs:
+                fast = Simulator(PROCS).run(tasks, policy_cls())
+                ref = ReferenceSimulator(PROCS).run(tasks, policy_cls())
+                assert fast.events == ref.events, (
+                    policy_cls.__name__, [t.task_id for t in tasks])
 
     def test_equal_keys_run_in_ready_order(self):
         # A static key need not be unique: ties resolve in the order the
@@ -198,6 +212,44 @@ class TestFastPathGate:
         # and the subclass still matches the reference simulator
         ref = ReferenceSimulator(["cpu"]).run(tasks, LifoPolicy())
         assert lifo.events == ref.events
+
+
+    @pytest.mark.parametrize("policy_cls",
+                             [OutOfOrderPolicy, NormalizedOooPolicy],
+                             ids=lambda p: p.__name__)
+    def test_eq5_select_override_is_called(self, policy_cls):
+        # A subclass of an Eq. 5 policy that overrides select must be
+        # called, not replaced by the rule its parent declares.
+        calls = []
+
+        class Lifo(policy_cls):
+            def select(self, proc, ready, context):
+                calls.append(proc)
+                return max(ready,
+                           key=lambda t: context.submit_index[t.task_id])
+
+        tasks = [Task(f"t{i}", "cpu", 1e-4 * (i + 1)) for i in range(6)]
+        lifo = Simulator(["cpu"]).run(tasks, Lifo())
+        assert len(calls) == 6
+        assert [e.task_id for e in lifo.events] == [
+            f"t{i}" for i in reversed(range(6))
+        ]
+        base = Simulator(["cpu"]).run(tasks, policy_cls())
+        assert [e.task_id for e in base.events] == [
+            f"t{i}" for i in range(6)
+        ]
+        ref = ReferenceSimulator(["cpu"]).run(tasks, Lifo())
+        assert lifo.events == ref.events
+
+    def test_unknown_eq5_rule_is_rejected(self):
+        class Bogus(OutOfOrderPolicy):
+            eq5 = "per-watt"
+
+            def select(self, proc, ready, context):
+                return ready[0]
+
+        with pytest.raises(SchedulingError, match="unknown eq5 rule"):
+            Simulator(["cpu"]).run([Task("a", "cpu", 1.0)], Bogus())
 
 
 class TestErrorParity:

@@ -221,7 +221,7 @@ def with_copied_trace(record):
     """The record with a prefill trace of equal but new events, which
     the cached structure must not be used for."""
     prefill = record.report.prefill
-    trace = Trace([dataclasses.replace(e) for e in prefill.trace.events])
+    trace = Trace([e._replace() for e in prefill.trace.events])
     report = dataclasses.replace(
         record.report, prefill=dataclasses.replace(prefill, trace=trace))
     return dataclasses.replace(record, report=report)
