@@ -57,7 +57,6 @@ from repro.obs import (
     QuantileSketch,
     SloMonitor,
     SloSpec,
-    StepLogger,
 )
 
 #: Schema identifier stamped into every fleet SLO report.
@@ -259,27 +258,21 @@ def run_step_probe(spec: FleetDeviceSpec,
     """One device's batched scheduler probe: step telemetry only.
 
     The fleet's request path runs the per-request loop; this probe
-    replays the device under the batching experiment's config over its
-    seeded batched arrival stream, recording a ``repro.steps/v1`` log.
-    Only the *step* stream — step records and scheduler decisions — is
-    fed into ``monitor`` (:meth:`SloMonitor.observe_step` /
-    :meth:`~SloMonitor.observe_decision`), never the probe's request
-    records, which would pollute the fleet's request sketches and
-    compliance counts.  Returns ``(service, steplog)``.
+    serves the device under the batching experiment's config over its
+    seeded batched arrival stream, with ``monitor`` registered as a step
+    observer, so step records and scheduler decisions stream into
+    :meth:`SloMonitor.observe_step` /
+    :meth:`~SloMonitor.observe_decision` as the loop runs.  The probe's
+    request records are never observed: they would pollute the fleet's
+    request sketches and compliance counts.  Returns the service.
     """
-    steplog = StepLogger(source=f"{spec.name}-step-probe")
-    service = _run_two_tier(
+    return _run_two_tier(
         "priority", True, spec.model, spec.device,
         batching_arrivals(seed=spec.seed),
         batching=BatchConfig(max_batch_tokens=BATCHING_BATCH_TOKENS,
                              max_concurrency=BATCHING_CONCURRENCY),
-        steplog=steplog,
+        step_observer=monitor,
     )
-    if monitor is not None:
-        monitor.observe_steps(steplog.steps)
-        for decision in steplog.decisions:
-            monitor.observe_decision(decision)
-    return service, steplog
 
 
 def _device_critpath_sketches(service) -> Dict[str, dict]:
@@ -391,7 +384,7 @@ def _merge_payload_sketches(payloads: Sequence[dict],
     """Merge the serialized per-device sketches of one payload
     ``section`` (``"sketches"`` or ``"critpath"``) key-by-key.
 
-    Exact: integer buckets and Fraction sums, so merging the sketches
+    Exact: integer buckets and exact dyadic sums, so merging the sketches
     equals sketching the pooled samples and merge order cannot change a
     bit.
     """
@@ -460,7 +453,7 @@ def fleet_report(specs: Optional[Sequence[FleetDeviceSpec]] = None,
     The report is byte-identical for every worker count and for every
     permutation of ``specs``: devices are canonicalized to ``(name,
     seed)`` order before running, each device reduces to a plain-dict
-    payload, and all merges are either exact (integer counts, Fraction
+    payload, and all merges are either exact (integer counts, exact
     sketch sums) or performed in canonical device order.
 
     ``critpath=True`` additionally attributes every completed request's

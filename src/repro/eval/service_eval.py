@@ -179,6 +179,7 @@ def _run_two_tier(
     monitor=None,
     batching: Optional[BatchConfig] = None,
     steplog=None,
+    step_observer=None,
 ) -> LlmService:
     service = LlmService(device, EngineConfig(), scheduler=scheduler,
                          admission=admission, fault_spec=fault_spec,
@@ -188,6 +189,8 @@ def _run_two_tier(
         monitor.attach(service)
     if steplog is not None:
         steplog.attach(service)
+    if step_observer is not None:
+        service.add_step_observer(step_observer)
     for tier, sample, arrival in stream:
         service.enqueue(model, sample.prompt_tokens, sample.output_tokens,
                         arrival_s=arrival, tier=tier)

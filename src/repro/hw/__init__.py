@@ -9,7 +9,6 @@ executes heterogeneous task graphs under pluggable scheduling policies.
 from repro.hw.energy import EnergyBreakdown, EnergyModel
 from repro.hw.latency import (
     MatMulShape,
-    activation_latency,
     attention_latency,
     disk_read_latency,
     float_reduce_latency,
@@ -53,7 +52,6 @@ __all__ = [
     "per_group_matmul_latency",
     "attention_latency",
     "norm_latency",
-    "activation_latency",
     "quantize_latency",
     "shadow_matmul_latency",
     "float_reduce_latency",

@@ -144,11 +144,6 @@ def norm_latency(proc: ProcessorSpec, rows: int, width: int) -> float:
     return proc.vector_latency(rows * width, 4.0)
 
 
-def activation_latency(proc: ProcessorSpec, rows: int, width: int) -> float:
-    """SiLU/GeLU elementwise activation (float, ~6 ops/element)."""
-    return proc.vector_latency(rows * width, 6.0)
-
-
 def quantize_latency(proc: ProcessorSpec, rows: int, width: int) -> float:
     """Float -> int8 activation quantization (scale, round, clamp)."""
     return proc.vector_latency(rows * width, 3.0)

@@ -118,24 +118,6 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.values.append(_require_finite("histogram", self.name, value))
 
-    def record_many(self, values) -> int:
-        """Append a batch of samples in one call; returns the batch size.
-
-        Equivalent to ``N`` :meth:`observe` calls (samples are stored
-        verbatim, so order and arithmetic are unchanged), but validates
-        with one vectorized finiteness check and extends the sample list
-        once.  The batch is atomic: any NaN/inf rejects the whole call
-        without mutating the histogram.
-        """
-        array = np.asarray(list(values), dtype=np.float64)
-        if array.size and not np.isfinite(array).all():
-            bad = array[~np.isfinite(array)][0]
-            raise MetricsError(
-                f"histogram {self.name!r}: non-finite value {float(bad)!r}"
-            )
-        self.values.extend(array.tolist())
-        return int(array.size)
-
     @property
     def count(self) -> int:
         return len(self.values)

@@ -395,8 +395,8 @@ class SloMonitor:
 
     # -- ingestion ------------------------------------------------------------
 
-    def _sketch(self, metric: str, tier: str) -> QuantileSketch:
-        key = f"{metric}/{tier}"
+    def _sketch(self, key: str) -> QuantileSketch:
+        """The ``metric/tier`` sketch, created on first use."""
         sketch = self.sketches.get(key)
         if sketch is None:
             sketch = QuantileSketch(alpha=self.sketch_alpha)
@@ -419,11 +419,11 @@ class SloMonitor:
         )
         self._requests.append(event)
         if record.status == "completed":
-            self._sketch("turnaround_s", record.tier).observe(
+            self._sketch(f"turnaround_s/{record.tier}").observe(
                 event.turnaround_s)
-            self._sketch("queueing_s", record.tier).observe(
+            self._sketch(f"queueing_s/{record.tier}").observe(
                 event.queueing_s)
-            self._sketch("energy_j", record.tier).observe(event.energy_j)
+            self._sketch(f"energy_j/{record.tier}").observe(event.energy_j)
 
     def observe_fault(self, draw: int, kind: Optional[str],
                       now_s: float) -> None:
@@ -442,79 +442,37 @@ class SloMonitor:
         scheduled.  Accepts :class:`~repro.core.scheduler.StepRecord`
         objects or their ``repro.steps/v1`` dicts.
         """
-        def get(key):
-            return (record[key] if isinstance(record, dict)
-                    else getattr(record, key))
-
-        self._n_steps += 1
-        self._sketch("batch_tokens", "step").observe(
-            float(get("prefill_tokens") + get("decode_tokens")))
+        get = (record.__getitem__ if isinstance(record, dict)
+               else record.__getattribute__)
+        tokens = get("prefill_tokens") + get("decode_tokens")
         queued = tuple(get("queued_ids"))
-        self._sketch("queue_depth", "step").observe(float(len(queued)))
-        self._sketch("inflight", "step").observe(float(get("n_inflight")))
-        util = (get("budget_utilization") if isinstance(record, dict)
-                else record.budget_utilization)
+        inflight = get("n_inflight")
+        util = get("budget_utilization")
+        self._n_steps += 1
+        self._sketch("batch_tokens/step").observe(float(tokens))
+        self._sketch("queue_depth/step").observe(float(len(queued)))
+        self._sketch("inflight/step").observe(float(inflight))
         if util is not None:
-            self._sketch("budget_utilization", "step").observe(util)
+            self._sketch("budget_utilization/step").observe(util)
+        streaks = self._queued_streaks
+        peaks = self._peak_streaks
         for rid in queued:
-            streak = self._queued_streaks.get(rid, 0) + 1
-            self._queued_streaks[rid] = streak
-            if streak > self._peak_streaks.get(rid, 0):
-                self._peak_streaks[rid] = streak
-        for rid in tuple(self._queued_streaks):
+            streak = streaks.get(rid, 0) + 1
+            streaks[rid] = streak
+            if streak > peaks.get(rid, 0):
+                peaks[rid] = streak
+        for rid in tuple(streaks):
             if rid not in queued:
-                del self._queued_streaks[rid]
+                del streaks[rid]
 
     def observe_steps(self, records) -> int:
-        """Batch consumer of step records; returns the batch size.
-
-        Produces exactly the state ``N`` :meth:`observe_step` calls
-        would: the four step sketches ingest their value streams through
-        :meth:`~repro.obs.sketch.QuantileSketch.record_many` (bit-equal
-        to sequential observes), and the starvation streak machine still
-        advances record-by-record in order — its transitions depend on
-        the previous record's queue, so only the sketch ingestion is
-        batched.
-        """
-        records = list(records)
-        batch_tokens = []
-        queue_depths = []
-        inflight = []
-        budget_utils = []
+        """Feed each step record to :meth:`observe_step`, in order;
+        returns how many there were."""
+        n = 0
         for record in records:
-            as_dict = isinstance(record, dict)
-
-            def get(key):
-                return record[key] if as_dict else getattr(record, key)
-
-            batch_tokens.append(
-                float(get("prefill_tokens") + get("decode_tokens")))
-            queued = tuple(get("queued_ids"))
-            queue_depths.append(float(len(queued)))
-            inflight.append(float(get("n_inflight")))
-            util = get("budget_utilization")
-            if util is not None:
-                budget_utils.append(util)
-            for rid in queued:
-                streak = self._queued_streaks.get(rid, 0) + 1
-                self._queued_streaks[rid] = streak
-                if streak > self._peak_streaks.get(rid, 0):
-                    self._peak_streaks[rid] = streak
-            for rid in tuple(self._queued_streaks):
-                if rid not in queued:
-                    del self._queued_streaks[rid]
-        if not records:
-            return 0
-        self._n_steps += len(records)
-        self._sketch("batch_tokens", "step").record_many(batch_tokens)
-        self._sketch("queue_depth", "step").record_many(queue_depths)
-        self._sketch("inflight", "step").record_many(inflight)
-        if budget_utils:
-            # Lazily created like observe_step: an all-None stream must
-            # not materialize an empty budget_utilization sketch.
-            self._sketch("budget_utilization", "step").record_many(
-                budget_utils)
-        return len(records)
+            self.observe_step(record)
+            n += 1
+        return n
 
     def observe_decision(self, decision) -> None:
         """Streaming consumer of scheduler decisions (counts the mix)."""

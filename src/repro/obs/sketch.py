@@ -29,12 +29,13 @@ Design invariants, each load-bearing for the fleet layer:
   ``[0, min_value]`` are collapsed to a single zero bucket reported as
   ``0.0``.
 * **Exact counts and sums.**  Bucket counts are integers and the running
-  sum is kept as an exact rational (every float is a dyadic rational,
-  and :class:`fractions.Fraction` addition is exact), so merging
-  sketches over *any* partition of a sample stream yields bit-for-bit
-  the sketch of the pooled stream — order of observation and order of
-  merging are both irrelevant.  The property tests in
-  ``tests/obs/test_sketch.py`` pin this down.
+  sum is kept as an exact dyadic rational: every float is an integer
+  over a power of two, so the sum is an integer numerator over
+  ``2**exponent`` and adding a sample is a big-int shift and add.
+  Merging sketches over *any* partition of a sample stream therefore
+  yields bit-for-bit the sketch of the pooled stream — order of
+  observation and order of merging are both irrelevant.  The property
+  tests in ``tests/obs/test_sketch.py`` pin this down.
 * **JSON round-trip.**  :meth:`to_json` / :meth:`from_json` serialize
   every field losslessly (the exact sum travels as an integer
   numerator/denominator pair), so device telemetry can cross process
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import Dict, Iterable, Optional
 
 from repro.errors import ReproError
@@ -73,7 +73,8 @@ class QuantileSketch:
     """Mergeable log-bucketed quantile sketch (see module docstring)."""
 
     __slots__ = ("alpha", "min_value", "_gamma", "_log_gamma", "_buckets",
-                 "_zero_count", "_count", "_sum", "_min", "_max")
+                 "_zero_count", "_count", "_sum_num", "_sum_exp", "_min",
+                 "_max")
 
     def __init__(self, alpha: float = DEFAULT_ALPHA,
                  min_value: float = DEFAULT_MIN_VALUE):
@@ -91,7 +92,9 @@ class QuantileSketch:
         self._buckets: Dict[int, int] = {}
         self._zero_count = 0
         self._count = 0
-        self._sum = Fraction(0)
+        # exact sum = _sum_num / 2**_sum_exp (unreduced)
+        self._sum_num = 0
+        self._sum_exp = 0
         self._min = math.inf
         self._max = -math.inf
 
@@ -110,60 +113,25 @@ class QuantileSketch:
             index = math.ceil(math.log(value) / self._log_gamma)
             self._buckets[index] = self._buckets.get(index, 0) + 1
         self._count += 1
-        self._sum += Fraction(value)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        num, den = value.as_integer_ratio()
+        exp = den.bit_length() - 1
+        if exp > self._sum_exp:
+            self._sum_num = (self._sum_num << (exp - self._sum_exp)) + num
+            self._sum_exp = exp
+        else:
+            self._sum_num += num << (self._sum_exp - exp)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
-    def record_many(self, values: Iterable[float]) -> int:
-        """Fold a batch of samples in one call; returns the batch size.
-
-        Bit-identical to ``N`` :meth:`observe` calls: bucket indices use
-        the same per-value ``math.log`` (so no ulp drift from vectorized
-        logarithms), and the exact sum is accumulated as one dyadic
-        rational — floats are ratios with power-of-two denominators, so
-        the batch folds into big-int shifts and a single ``Fraction``
-        addition, which equals the sequential Fraction sum exactly.
-
-        Unlike :meth:`observe_many`, the batch is atomic: a NaN/inf or
-        negative sample rejects the whole call without mutating the
-        sketch.
-        """
-        vals = [float(v) for v in values]
-        for value in vals:
-            if not math.isfinite(value):
-                raise SketchError(f"non-finite sample {value!r}")
-            if value < 0.0:
-                raise SketchError(f"negative sample {value!r}")
-        if not vals:
-            return 0
-        buckets = self._buckets
-        log_gamma = self._log_gamma
-        min_value = self.min_value
-        ceil, log = math.ceil, math.log
-        zero = 0
-        acc_num, acc_exp = 0, 0
-        for value in vals:
-            if value <= min_value:
-                zero += 1
-            else:
-                index = ceil(log(value) / log_gamma)
-                buckets[index] = buckets.get(index, 0) + 1
-            num, den = value.as_integer_ratio()
-            exp = den.bit_length() - 1
-            if exp > acc_exp:
-                acc_num <<= exp - acc_exp
-                acc_exp = exp
-            acc_num += num << (acc_exp - exp)
-        self._zero_count += zero
-        self._count += len(vals)
-        self._sum += Fraction(acc_num, 1 << acc_exp)
-        self._min = min(self._min, min(vals))
-        self._max = max(self._max, max(vals))
-        return len(vals)
+    def _reduced_sum(self):
+        """The exact sum as a lowest-terms ``(numerator, denominator)``."""
+        num, exp = self._sum_num, self._sum_exp
+        if num == 0:
+            return 0, 1
+        shift = min((num & -num).bit_length() - 1, exp)
+        return num >> shift, 1 << (exp - shift)
 
     # -- aggregates -----------------------------------------------------------
 
@@ -174,13 +142,15 @@ class QuantileSketch:
     @property
     def sum(self) -> float:
         """Exact sum of all samples, rounded once to a float."""
-        return float(self._sum)
+        num, den = self._reduced_sum()
+        return num / den
 
     @property
     def mean(self) -> float:
         if self._count == 0:
             return 0.0
-        return float(self._sum / self._count)
+        num, den = self._reduced_sum()
+        return num / (den * self._count)
 
     @property
     def min(self) -> float:
@@ -258,7 +228,10 @@ class QuantileSketch:
             self._buckets[index] = self._buckets.get(index, 0) + count
         self._zero_count += other._zero_count
         self._count += other._count
-        self._sum += other._sum
+        exp = max(self._sum_exp, other._sum_exp)
+        self._sum_num = ((self._sum_num << (exp - self._sum_exp))
+                         + (other._sum_num << (exp - other._sum_exp)))
+        self._sum_exp = exp
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
         return self
@@ -293,7 +266,7 @@ class QuantileSketch:
             "zero_count": self._zero_count,
             "buckets": {str(i): self._buckets[i]
                         for i in sorted(self._buckets)},
-            "sum": [self._sum.numerator, self._sum.denominator],
+            "sum": list(self._reduced_sum()),
             "min": self._min if self._count else None,
             "max": self._max if self._count else None,
         }
@@ -310,8 +283,12 @@ class QuantileSketch:
         sketch._count = int(data["count"])
         sketch._buckets = {int(k): int(v)
                            for k, v in data["buckets"].items()}
-        num, den = data["sum"]
-        sketch._sum = Fraction(int(num), int(den))
+        num, den = (int(v) for v in data["sum"])
+        if den <= 0 or den & (den - 1):
+            raise SketchError(
+                f"sum denominator {den} is not a power of two")
+        sketch._sum_num = num
+        sketch._sum_exp = den.bit_length() - 1
         if sketch._count:
             sketch._min = float(data["min"])
             sketch._max = float(data["max"])

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 
@@ -363,29 +363,3 @@ def occupancy_summary(steps) -> Dict[str, float]:
         out["mean_budget_utilization"] = sum(utils) / len(utils)
         out["max_budget_utilization"] = max(utils)
     return out
-
-
-def starved_requests(steps, min_steps: int = 8) -> List[Tuple[int, int]]:
-    """Requests stuck in the waiting queue for long consecutive runs.
-
-    Returns ``(request_id, n_consecutive_steps)`` pairs (sorted by id)
-    for every request that stayed in some step's ``queued_ids`` snapshot
-    for at least ``min_steps`` consecutive steps — the starvation signal
-    the :class:`~repro.obs.monitor.SloMonitor` detector surfaces.
-    """
-    if min_steps <= 0:
-        raise StepLogError("min_steps must be positive")
-    streak: Dict[int, int] = {}
-    worst: Dict[int, int] = {}
-    for step in steps:
-        queued = (step["queued_ids"] if isinstance(step, dict)
-                  else step.queued_ids)
-        queued = set(queued)
-        for rid in queued:
-            streak[rid] = streak.get(rid, 0) + 1
-            worst[rid] = max(worst.get(rid, 0), streak[rid])
-        for rid in list(streak):
-            if rid not in queued:
-                del streak[rid]
-    return sorted((rid, n) for rid, n in worst.items()
-                  if n >= min_steps)

@@ -17,7 +17,12 @@ from repro.eval import (
     run_device,
 )
 from repro.eval.fleet import _merge_payload_sketches
-from repro.obs import QuantileSketch, validate_timeline_doc
+from repro.obs import (
+    QuantileSketch,
+    SloMonitor,
+    StepLogger,
+    validate_timeline_doc,
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +169,35 @@ class TestFaultStorm:
         assert fault_links
         for link in fault_links:
             assert link["fault"] in ("transient", "permanent")
+
+
+class TestStepProbeStream:
+    def test_streamed_monitor_equals_steplog_replay(self, monkeypatch):
+        # the probe streams its steps and decisions into the monitor;
+        # a StepLogger on the same run, replayed record by record into
+        # a fresh monitor, must leave the same telemetry
+        import repro.eval.fleet as fleet
+        logger = StepLogger()
+        run_two_tier = fleet._run_two_tier
+
+        def with_logger(*args, **kwargs):
+            return run_two_tier(*args, steplog=logger, **kwargs)
+
+        monkeypatch.setattr(fleet, "_run_two_tier", with_logger)
+        spec = default_fleet(n_devices=1, seed=42)[0]
+        streamed = SloMonitor(FLEET_SLOS)
+        service = fleet.run_step_probe(spec, streamed)
+        replayed = SloMonitor(FLEET_SLOS)
+        for record in logger.steps:
+            replayed.observe_step(record)
+        for decision in logger.decisions:
+            replayed.observe_decision(decision)
+        assert streamed.n_steps == len(service.steps) > 0
+        assert streamed.n_events == 0  # probe records stay out
+        assert streamed.scheduler_summary() == replayed.scheduler_summary()
+        assert streamed.decision_counts() == replayed.decision_counts()
+        assert ({k: s.to_dict() for k, s in streamed.sketches.items()}
+                == {k: s.to_dict() for k, s in replayed.sketches.items()})
 
 
 class TestDefaultFleet:

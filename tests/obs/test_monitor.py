@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import (
     ALERTS_SCHEMA,
@@ -356,3 +358,58 @@ class TestStepTelemetry:
         mix = monitor.decision_counts()
         assert mix.get("chunk-scheduled", 0) > 0
         assert mix.get("completed", 0) == 2
+
+
+def _step(prefill, decode, queued, inflight, util):
+    """Minimal repro.steps/v1-shaped record for the monitor."""
+    return {
+        "prefill_tokens": prefill,
+        "decode_tokens": decode,
+        "queued_ids": queued,
+        "n_inflight": inflight,
+        "budget_utilization": util,
+    }
+
+
+step_records = st.lists(
+    st.builds(
+        _step,
+        st.integers(0, 512),
+        st.integers(0, 64),
+        st.lists(st.sampled_from(["r1", "r2", "r3", "r4"]), unique=True,
+                 max_size=4),
+        st.integers(0, 8),
+        st.one_of(st.none(), st.floats(0.0, 1.0, allow_nan=False)),
+    ),
+    max_size=30,
+)
+
+
+class TestObserveSteps:
+    """``observe_steps`` is a loop over ``observe_step``: one ingestion
+    path, so a batch leaves exactly the state of its records fed one
+    at a time."""
+
+    @given(step_records)
+    def test_matches_sequential_observe_step(self, records):
+        batched = SloMonitor([AVAIL])
+        sequential = SloMonitor([AVAIL])
+        assert batched.observe_steps(iter(records)) == len(records)
+        for record in records:
+            sequential.observe_step(record)
+        assert ({k: s.to_dict() for k, s in batched.sketches.items()}
+                == {k: s.to_dict() for k, s in sequential.sketches.items()})
+        assert batched.scheduler_summary(starvation_min_steps=1) == \
+            sequential.scheduler_summary(starvation_min_steps=1)
+
+    def test_all_none_budget_creates_no_sketch(self):
+        monitor = SloMonitor([AVAIL])
+        monitor.observe_steps([_step(1, 1, [], 0, None)] * 3)
+        assert not any("budget_utilization" in key
+                       for key in monitor.sketches)
+
+    def test_empty_batch_creates_no_sketches(self):
+        monitor = SloMonitor([AVAIL])
+        assert monitor.observe_steps([]) == 0
+        assert not monitor.sketches
+        assert monitor.n_steps == 0

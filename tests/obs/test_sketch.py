@@ -13,6 +13,7 @@ The two load-bearing properties, proven over random inputs:
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,9 +34,22 @@ samples_strategy = st.lists(
 )
 
 
+# The whole non-negative float range: exact zeros, subnormals down to
+# the smallest (5e-324) and values up to 1.7e308.
+extreme_samples = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.7e308, allow_nan=False,
+                  allow_infinity=False, allow_subnormal=True),
+        st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.7e308]),
+    ),
+    max_size=60,
+)
+
+
 def sketch_of(values, alpha=DEFAULT_ALPHA):
     sketch = QuantileSketch(alpha=alpha)
-    sketch.observe_many(values)
+    for value in values:
+        sketch.observe(value)
     return sketch
 
 
@@ -80,10 +94,12 @@ class TestErrorBound:
 
 class TestMergeIsExact:
     @settings(max_examples=150, deadline=None)
-    @given(samples_strategy, st.randoms(use_true_random=False))
+    @given(samples_strategy | extreme_samples,
+           st.randoms(use_true_random=False))
     def test_merge_over_random_partition_equals_pooled(self, values, rnd):
         # split the stream into 1..4 random parts, sketch each part,
-        # merge in shuffled order: bit-for-bit the pooled sketch
+        # merge in shuffled order: bit-for-bit the pooled sketch, over
+        # the whole float range
         n_parts = rnd.randint(1, 4)
         parts = [[] for _ in range(n_parts)]
         for value in values:
@@ -120,6 +136,23 @@ class TestMergeIsExact:
         assert snap["count"] == 0 and snap["p50"] is None
 
 
+class TestExactSum:
+    """The serialized sum against an independent oracle: the pooled
+    :class:`fractions.Fraction` sum of the samples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(extreme_samples)
+    def test_sum_equals_fraction_oracle(self, values):
+        exact = sum(map(Fraction, values), Fraction(0))
+        assert sketch_of(values).to_dict()["sum"] == [exact.numerator,
+                                                      exact.denominator]
+
+    def test_from_dict_rejects_non_dyadic_denominator(self):
+        data = dict(sketch_of([1.0]).to_dict(), sum=[1, 3])
+        with pytest.raises(SketchError, match="power of two"):
+            QuantileSketch.from_dict(data)
+
+
 class TestSerialization:
     @settings(max_examples=100, deadline=None)
     @given(samples_strategy)
@@ -133,17 +166,15 @@ class TestSerialization:
             assert clone.percentile(q) == sketch.percentile(q)
 
     def test_exact_sum_survives_serialization(self):
-        # 0.1 + 0.2 is inexact in floats; the Fraction sum is exact and
+        # 0.1 + 0.2 is inexact in floats; the sketch's sum is exact and
         # must travel losslessly as a numerator/denominator pair
         sketch = sketch_of([0.1, 0.2])
-        data = json.loads(sketch.to_json())
-        num, den = data["sum"]
+        exact = Fraction(0.1) + Fraction(0.2)  # != 0.3
+        assert sketch.to_dict()["sum"] == [exact.numerator,
+                                           exact.denominator]
         clone = QuantileSketch.from_json(sketch.to_json())
-        assert clone._sum == sketch._sum
-        assert (num, den) == (sketch._sum.numerator,
-                              sketch._sum.denominator)
-        from fractions import Fraction
-        assert sketch._sum == Fraction(0.1) + Fraction(0.2)  # exact, != 0.3
+        assert clone.to_dict()["sum"] == sketch.to_dict()["sum"]
+        assert clone.sum == sketch.sum == float(exact)
 
     def test_schema_is_stamped_and_checked(self):
         sketch = sketch_of([1.0])
@@ -161,6 +192,15 @@ class TestValidation:
             with pytest.raises(SketchError):
                 sketch.observe(bad)
         assert sketch.count == 0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), -1.0])
+    def test_rejected_sample_leaves_sketch_unchanged(self, bad):
+        sketch = sketch_of([2.0])
+        before = sketch.to_dict()
+        with pytest.raises(SketchError):
+            sketch.observe(bad)
+        assert sketch.to_dict() == before
 
     def test_rejects_bad_parameters(self):
         for alpha in (0.0, 1.0, -0.5):
@@ -203,11 +243,10 @@ class TestEmptyPaths:
         assert QuantileSketch.merged([clone, full]).to_dict() == \
             full.to_dict()
 
-    def test_empty_record_many_then_merge_then_percentile(self):
-        # the full fleet pipeline over zero samples: batch-ingest
-        # nothing, merge, snapshot — all no-ops, never an exception
+    def test_empty_sketch_then_merge_then_percentile(self):
+        # the full fleet pipeline over zero samples: ingest nothing,
+        # merge, snapshot — all no-ops, never an exception
         sketch = QuantileSketch()
-        assert sketch.record_many([]) == 0
         merged = QuantileSketch.merged([sketch])
         snap = merged.snapshot_percentiles()
         assert snap == {"count": 0, "sum": 0.0, "mean": 0.0,

@@ -12,13 +12,15 @@ from repro.eval import (
 from repro.obs import (
     DECISION_ACTIONS,
     Decision,
+    MonitorError,
+    SloMonitor,
+    SloSpec,
     StepLogError,
     StepLogger,
     as_steps_doc,
     decision_mix,
     load_doc,
     occupancy_summary,
-    starved_requests,
     validate_steps_doc,
 )
 from repro.obs.schemas import STEPS_SCHEMA
@@ -152,11 +154,20 @@ class TestValidation:
         assert doc["decisions"] == []  # no logger was attached
 
 
+def starved_requests(steps, min_steps):
+    """Starvation over a step stream, from the one detector:
+    :meth:`SloMonitor.starved_requests` of a monitor fed ``steps``."""
+    monitor = SloMonitor([SloSpec("avail", "availability", 0.99)])
+    monitor.observe_steps(steps)
+    return monitor.starved_requests(min_steps)
+
+
 class TestDerivedDetectors:
     def _step(self, index, queued):
         return {"index": index, "start_s": float(index),
                 "end_s": float(index) + 1.0, "n_inflight": 1,
-                "batch_tokens": 32, "budget_utilization": 0.5,
+                "batch_tokens": 32, "prefill_tokens": 32,
+                "decode_tokens": 0, "budget_utilization": 0.5,
                 "queued_ids": queued, "items": []}
 
     def test_occupancy_summary_empty(self):
@@ -183,7 +194,7 @@ class TestDerivedDetectors:
         assert starved_requests(steps, min_steps=2) == []
 
     def test_starved_requests_min_steps_validated(self):
-        with pytest.raises(StepLogError, match="positive"):
+        with pytest.raises(MonitorError, match="min_steps"):
             starved_requests([], min_steps=0)
 
     def test_constrained_run_surfaces_starvation(self):
