@@ -111,6 +111,17 @@ class TestMergeIsExact:
         assert merged.to_dict() == pooled.to_dict()
         assert merged.to_json() == pooled.to_json()
 
+    @settings(max_examples=100, deadline=None)
+    @given(extreme_samples, extreme_samples)
+    def test_streams_compose_in_any_order(self, first, second):
+        # one sketch fed two streams back to back, in either order, is
+        # the merge of the two streams' sketches, bit-for-bit
+        forward = sketch_of(first + second, alpha=0.01)
+        backward = sketch_of(second + first, alpha=0.01)
+        merged = sketch_of(first, alpha=0.01).merge(
+            sketch_of(second, alpha=0.01))
+        assert forward.to_dict() == backward.to_dict() == merged.to_dict()
+
     def test_merge_associative_and_commutative(self):
         a = sketch_of([0.1, 2.0, 30.0])
         b = sketch_of([5.0, 5.0])
