@@ -10,7 +10,6 @@ effect — without touching prefill.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import EngineError
@@ -48,11 +47,14 @@ class DecodeOptions:
             raise EngineError("overhead_scale must be in [0, 1]")
 
 
-def decode_token_s(config: ModelConfig, proc: ProcessorSpec,
-                   kv_len: int, options: DecodeOptions) -> float:
-    """Seconds to decode one token with ``kv_len`` cached positions."""
-    if kv_len < 1:
-        raise EngineError(f"kv_len must be >= 1, got {kv_len}")
+def decode_token_costs(config: ModelConfig, proc: ProcessorSpec,
+                       options: DecodeOptions) -> Callable[[int], float]:
+    """:func:`decode_token_s` as a function of ``kv_len``.
+
+    Every term but attention is independent of ``kv_len``, so those are
+    computed here, once; the returned function adds them in the same
+    order as the one-line sum, so it returns the same bits.
+    """
     h, f = config.hidden_size, config.ffn_hidden
     n_up = 2 if config.gated_ffn else 1
 
@@ -68,17 +70,33 @@ def decode_token_s(config: ModelConfig, proc: ProcessorSpec,
             base = matmul_latency(proc, shape, options.weight_dtype)
         return max(base - amortized, 0.0)
 
-    per_layer = (
-        mm(h, config.q_dim) + 2 * mm(h, config.kv_dim)   # QKV
-        + attention_latency(proc, 1, kv_len, config.n_heads,
-                            config.dim_per_head)
-        + mm(config.q_dim, h)                            # O
-        + n_up * mm(h, f) + mm(f, h)                     # FFN
-        + 2 * norm_latency(proc, 1, h)
-        + 2 * quantize_latency(proc, 1, h)
-    )
+    qkv = mm(h, config.q_dim) + 2 * mm(h, config.kv_dim)
+    o_proj = mm(config.q_dim, h)
+    ffn_up = n_up * mm(h, f)
+    ffn_down = mm(f, h)
+    norms = 2 * norm_latency(proc, 1, h)
+    quants = 2 * quantize_latency(proc, 1, h)
     lm_head = mm(h, config.vocab_size)
-    return (config.n_layers * per_layer + lm_head) / options.efficiency
+    n_layers, n_heads = config.n_layers, config.n_heads
+    dim_per_head, efficiency = config.dim_per_head, options.efficiency
+
+    def token_s(kv_len: int) -> float:
+        if kv_len < 1:
+            raise EngineError(f"kv_len must be >= 1, got {kv_len}")
+        per_layer = (
+            qkv
+            + attention_latency(proc, 1, kv_len, n_heads, dim_per_head)
+            + o_proj + ffn_up + ffn_down + norms + quants
+        )
+        return (n_layers * per_layer + lm_head) / efficiency
+
+    return token_s
+
+
+def decode_token_s(config: ModelConfig, proc: ProcessorSpec,
+                   kv_len: int, options: DecodeOptions) -> float:
+    """Seconds to decode one token with ``kv_len`` cached positions."""
+    return decode_token_costs(config, proc, options)(kv_len)
 
 
 def decode_latency_s(config: ModelConfig, proc: ProcessorSpec,
@@ -88,12 +106,13 @@ def decode_latency_s(config: ModelConfig, proc: ProcessorSpec,
                      ) -> float:
     """Total decode time for ``output_tokens`` after a ``prompt_len`` prefill.
 
-    ``token_s(kv_len)`` may stand in for this :func:`decode_token_s`
-    (a memoized copy of it, e.g. ``PreparedGraph.decode_token_costs``).
+    ``token_s(kv_len)`` may stand in for the function
+    :func:`decode_token_costs` would build (a memoized copy of it, e.g.
+    ``PreparedGraph.decode_token_costs``).
     """
     if output_tokens < 0:
         raise EngineError(f"negative output_tokens {output_tokens}")
-    token_s = token_s or partial(decode_token_s, config, proc, options=options)
+    token_s = token_s or decode_token_costs(config, proc, options)
     total = 0.0
     for i in range(output_tokens):
         total += token_s(prompt_len + i + 1)

@@ -135,6 +135,13 @@ class LlmNpuEngine:
             self.shadow_profiles if cfg.quant_mode == "shadow" else None,
         )
         self.graph = self._prepared.graph
+        self._decode_options = DecodeOptions(
+            backend=cfg.decode_backend,
+            per_group=(cfg.quant_mode == "per-group"),
+            group_size=cfg.group_size,
+        )
+        self._decode_token_s = self._prepared.decode_token_costs(
+            self._decode_options)
 
     @classmethod
     def build(cls, model: Union[str, ModelConfig],
@@ -237,15 +244,10 @@ class LlmNpuEngine:
 
     def decode(self, prompt_tokens: int, output_tokens: int) -> float:
         """Decode latency; ``prompt_tokens`` is the total KV length."""
-        options = DecodeOptions(
-            backend=self.config.decode_backend,
-            per_group=(self.config.quant_mode == "per-group"),
-            group_size=self.config.group_size,
-        )
         proc = self.device.processors[self.config.decode_backend]
         return decode_latency_s(self.model, proc, prompt_tokens,
-                                output_tokens, options,
-                                self._prepared.decode_token_costs(options))
+                                output_tokens, self._decode_options,
+                                self._decode_token_s)
 
     def check_fault(self, now_s: float = 0.0) -> None:
         """Consume one fault draw for an execution attempt.

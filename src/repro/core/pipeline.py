@@ -19,7 +19,7 @@ import functools
 from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.decode import DecodeOptions, decode_token_s
+from repro.core.decode import DecodeOptions, decode_token_costs
 from repro.core.dependency import TaskBlocks, build_task_graph
 from repro.core.scheduler import get_policy
 from repro.errors import EngineError
@@ -199,15 +199,14 @@ class PreparedGraph:
 
     def decode_token_costs(self, options: DecodeOptions
                            ) -> Callable[[int], float]:
-        """:func:`~repro.core.decode.decode_token_s` of the graph's model
-        on ``options.backend`` as a function of ``kv_len``, memoized."""
+        """:func:`~repro.core.decode.decode_token_costs` of the graph's
+        model on ``options.backend``, memoized per ``kv_len``."""
         token_s = self._decode_s.get(options)
         if token_s is None:
             builder = self.graph.builder
             proc = builder.device.processors[options.backend]
             token_s = self._decode_s[options] = functools.cache(
-                functools.partial(decode_token_s, builder.config, proc,
-                                  options=options))
+                decode_token_costs(builder.config, proc, options))
         return token_s
 
     def memory_plan(self, total_tokens: int,

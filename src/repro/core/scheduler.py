@@ -21,7 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, NamedTuple, Optional, Tuple, Type
 
 from repro.hw.sim import FifoPolicy, SchedulingPolicy, SimContext, Task
 
@@ -323,13 +323,13 @@ class BatchConfig:
             raise SchedulingError("kv_budget_bytes must be positive")
 
 
-@dataclass(frozen=True)
-class StepItem:
+class StepItem(NamedTuple):
     """One unit of work inside a step: a prefill chunk or a decode token.
 
     ``index`` is the chunk index (prefill) or output-token index
     (decode).  ``start_s``/``end_s`` are stamped by the service when the
-    item executes; :func:`assemble_step` emits them as 0.
+    item executes; :func:`assemble_step` emits them as 0.  An immutable
+    tuple: the step loop builds one per executed item.
     """
 
     request_id: int

@@ -665,9 +665,8 @@ class LlmService:
                        value: Optional[float] = None,
                        limit: Optional[float] = None) -> None:
         """Fan one scheduler decision out to the step observers."""
-        decision = Decision(t_s=t_s, request_id=request_id, tier=tier,
-                            action=action, step=step, quantity=quantity,
-                            value=value, limit=limit)
+        decision = Decision(t_s, request_id, action, tier, step, quantity,
+                            value, limit)
         for sink in self._decision_sinks:
             sink(decision)
 

@@ -32,6 +32,7 @@ report is byte-identical across processes, which is what
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -318,10 +319,13 @@ def _device_payload(args) -> dict:
     with_critpath = bool(rest[0]) if rest else False
     service, monitor = run_device(spec, slos=slos, rules=rules)
     run_step_probe(spec, monitor)
-    m = service.metrics()
-    ttfts = sorted(r.ttft_s for r in service.requests
+    records = service.requests
+    # Count the four outcomes directly: ``service.metrics()`` would build
+    # a registry of per-tier histograms the payload never reads.
+    status = Counter(r.status for r in records)
+    ttfts = sorted(r.ttft_s for r in records
                    if r.status == "completed" and r.ttft_s is not None)
-    itls = [r.itl_s for r in service.requests
+    itls = [r.itl_s for r in records
             if r.status == "completed" and r.itl_s is not None]
     critpath = (_device_critpath_sketches(service) if with_critpath
                 else {})
@@ -333,18 +337,18 @@ def _device_payload(args) -> dict:
             "seed": spec.seed,
             "transient_rate": spec.transient_rate,
             "permanent_rate": spec.permanent_rate,
-            "n_requests": len(service.requests),
-            "n_completed": m.n_completed,
-            "n_rejected": m.n_rejected,
-            "n_timeout": m.n_timeout,
-            "n_failed": m.n_failed,
+            "n_requests": len(records),
+            "n_completed": status["completed"],
+            "n_rejected": status["rejected"],
+            "n_timeout": status["timeout"],
+            "n_failed": status["failed"],
             "n_faults": monitor.n_faults,
             "ttft_p50_s": (float(np.percentile(ttfts, 50))
                            if ttfts else None),
             "ttft_p95_s": (float(np.percentile(ttfts, 95))
                            if ttfts else None),
             "mean_itl_s": (float(np.mean(itls)) if itls else None),
-            "goodput_rps": float(goodput_rps(service.requests,
+            "goodput_rps": float(goodput_rps(records,
                                              BATCHING_TTFT_SLO)),
             "scheduler": monitor.scheduler_summary(),
         },

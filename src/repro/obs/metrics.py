@@ -195,14 +195,28 @@ class MetricsRegistry:
 
     def __init__(self):
         self._instruments: Dict[Tuple[str, LabelKey], object] = {}
+        #: ``(name, *labels.items())`` of calls whose label values are
+        #: all ``str`` -> their instrument, so a repeated call skips the
+        #: sorted label key.  Only ``str`` values are cached: ``1``,
+        #: ``1.0`` and ``True`` hash equal but label differently.
+        self._by_shape: Dict[tuple, object] = {}
 
     def _get(self, kind: str, name: str, labels: Dict[str, object]):
-        key = (name, _label_key(labels))
-        instrument = self._instruments.get(key)
+        shape = (name, *labels.items())
+        try:
+            instrument = self._by_shape.get(shape)
+        except TypeError:  # an unhashable label value
+            shape = instrument = None
         if instrument is None:
-            instrument = _KINDS[kind](name, key[1])
-            self._instruments[key] = instrument
-        elif instrument.kind != kind:
+            key = (name, _label_key(labels))
+            instrument = self._instruments.get(key)
+            if instrument is None:
+                instrument = _KINDS[kind](name, key[1])
+                self._instruments[key] = instrument
+            if shape is not None and all(type(v) is str
+                                         for v in labels.values()):
+                self._by_shape[shape] = instrument
+        if instrument.kind != kind:
             raise MetricsError(
                 f"instrument {name!r} already registered as "
                 f"{instrument.kind}, requested {kind}"

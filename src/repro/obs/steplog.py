@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import ReproError
 
@@ -49,18 +48,7 @@ class StepLogError(ReproError):
     """Malformed or unusable step-log input."""
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One typed scheduler decision about one request.
-
-    ``quantity`` names the governing quantity (``projected_wait_s``,
-    ``tokens``, ``kv_projected_bytes``, ...), ``value`` its value and
-    ``limit`` the bound it was compared against (None when the relevant
-    knob is unbounded).  ``step`` is the step index for decisions made
-    inside the step loop, None for admission-time / legacy-path /
-    terminal decisions.
-    """
-
+class _DecisionFields(NamedTuple):
     t_s: float
     request_id: int
     action: str
@@ -70,12 +58,35 @@ class Decision:
     value: Optional[float] = None
     limit: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.action not in DECISION_ACTIONS:
+
+class Decision(_DecisionFields):
+    """One typed scheduler decision about one request.
+
+    ``quantity`` names the governing quantity (``projected_wait_s``,
+    ``tokens``, ``kv_projected_bytes``, ...), ``value`` its value and
+    ``limit`` the bound it was compared against (None when the relevant
+    knob is unbounded).  ``step`` is the step index for decisions made
+    inside the step loop, None for admission-time / legacy-path /
+    terminal decisions.
+
+    An immutable tuple, like :class:`~repro.hw.trace.TraceEvent`: the
+    service builds one per request touched in every step, so it costs
+    a tuple, not a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t_s: float, request_id: int, action: str, tier: str,
+                step: Optional[int] = None, quantity: Optional[str] = None,
+                value: Optional[float] = None,
+                limit: Optional[float] = None) -> "Decision":
+        if action not in DECISION_ACTIONS:
             raise StepLogError(
-                f"unknown decision action {self.action!r}; "
+                f"unknown decision action {action!r}; "
                 f"expected one of {DECISION_ACTIONS}"
             )
+        return tuple.__new__(cls, (t_s, request_id, action, tier, step,
+                                   quantity, value, limit))
 
     def to_dict(self) -> dict:
         return {

@@ -1,13 +1,29 @@
 """Tests for the decode latency model."""
 
+import itertools
+
 import pytest
 
 from repro.core import LlmNpuEngine
-from repro.core.decode import DecodeOptions, decode_latency_s, decode_token_s
+from repro.core.decode import (
+    DecodeOptions,
+    decode_latency_s,
+    decode_token_costs,
+    decode_token_s,
+)
 from repro.core.pipeline import clear_prepared_graphs
 from repro.errors import EngineError
 from repro.hw import REDMI_K70_PRO
+from repro.hw.latency import (
+    MatMulShape,
+    attention_latency,
+    matmul_latency,
+    norm_latency,
+    per_group_matmul_latency,
+    quantize_latency,
+)
 from repro.model import QWEN15_18B
+from repro.model.config import EXTRA_MODELS, PAPER_MODELS
 
 DEV = REDMI_K70_PRO
 
@@ -105,3 +121,80 @@ class TestEngineDecodeCache:
                         assert engine.decode(prompt, out) == decode_latency_s(
                             QWEN15_18B, DEV.processors[backend], prompt,
                             out, options)
+
+
+def _one_line_token_s(config, proc, kv_len, options):
+    """The per-token formula as one sum, every term recomputed per call:
+    the form :func:`decode_token_costs` hoists its kv-independent terms
+    out of."""
+    h, f = config.hidden_size, config.ffn_hidden
+    n_up = 2 if config.gated_ffn else 1
+    profile = proc.matmul_profile(options.weight_dtype)
+    amortized = profile.overhead_s * (1.0 - options.overhead_scale)
+
+    def mm(k, n):
+        shape = MatMulShape(1, k, n)
+        if options.per_group:
+            base = per_group_matmul_latency(proc, shape, options.group_size,
+                                            options.weight_dtype)
+        else:
+            base = matmul_latency(proc, shape, options.weight_dtype)
+        return max(base - amortized, 0.0)
+
+    per_layer = (
+        mm(h, config.q_dim) + 2 * mm(h, config.kv_dim)
+        + attention_latency(proc, 1, kv_len, config.n_heads,
+                            config.dim_per_head)
+        + mm(config.q_dim, h)
+        + n_up * mm(h, f) + mm(f, h)
+        + 2 * norm_latency(proc, 1, h)
+        + 2 * quantize_latency(proc, 1, h)
+    )
+    lm_head = mm(h, config.vocab_size)
+    return (config.n_layers * per_layer + lm_head) / options.efficiency
+
+
+PRESETS = {**PAPER_MODELS, **EXTRA_MODELS}
+KV_LENS = (1, 2, 255, 256, 257, 4096)
+
+
+class TestHoistedTokenCost:
+    """:func:`decode_token_costs` computes the kv-independent terms once;
+    each token must still cost the same bits as the one-line sum."""
+
+    @pytest.mark.parametrize("model,backend,per_group,efficiency",
+                             list(itertools.product(
+                                 sorted(PRESETS), ("cpu", "gpu"),
+                                 (False, True), (1.0, 0.9))))
+    def test_bit_identical_to_one_line_sum(self, model, backend, per_group,
+                                           efficiency):
+        config = PRESETS[model]
+        proc = DEV.processors[backend]
+        options = DecodeOptions(backend=backend, per_group=per_group,
+                                efficiency=efficiency)
+        token_s = decode_token_costs(config, proc, options)
+        for kv_len in KV_LENS:
+            expected = _one_line_token_s(config, proc, kv_len, options)
+            assert token_s(kv_len) == expected
+            assert decode_token_s(config, proc, kv_len, options) == expected
+
+    def test_engine_cache_is_bit_identical(self):
+        clear_prepared_graphs()
+        engine = LlmNpuEngine.build(QWEN15_18B, DEV, quant_mode="per-group")
+        options = DecodeOptions(per_group=True)
+        cached = engine._prepared.decode_token_costs(options)
+        for kv_len in KV_LENS:
+            assert cached(kv_len) == _one_line_token_s(
+                QWEN15_18B, DEV.cpu, kv_len, options)
+
+    @pytest.mark.parametrize("kv_len", [0, -1])
+    def test_kv_below_one_raises(self, kv_len):
+        options = DecodeOptions()
+        with pytest.raises(EngineError, match="kv_len"):
+            decode_token_s(QWEN15_18B, DEV.cpu, kv_len, options)
+        with pytest.raises(EngineError, match="kv_len"):
+            decode_token_costs(QWEN15_18B, DEV.cpu, options)(kv_len)
+        clear_prepared_graphs()
+        engine = LlmNpuEngine.build(QWEN15_18B, DEV)
+        with pytest.raises(EngineError, match="kv_len"):
+            engine._prepared.decode_token_costs(options)(kv_len)

@@ -360,6 +360,14 @@ class TestIncrementalState:
                            n_inflight=0, kv_reserved_bytes=0)
         assert empty.batch_tokens == 0
 
+    def test_step_item_reads_fields_by_name(self):
+        item = StepItem(request_id=3, kind="decode", tokens=1, cost_s=0.002,
+                        index=4)
+        assert (item.request_id, item.kind, item.tokens, item.cost_s,
+                item.index, item.start_s, item.end_s) == (
+            3, "decode", 1, 0.002, 4, 0.0, 0.0)
+        assert StepItem(3, "decode", 1, 0.002, 4) == item
+
     @given(reqs=requests_strategy, cfg=config_strategy)
     def test_recorded_sums_match_items(self, reqs, cfg):
         svc = run_batched(reqs, *cfg)

@@ -101,6 +101,48 @@ class TestInstruments:
         assert reg.value("c", b="2", a="1") == 1.0
 
 
+class TestRepeatedLookup:
+    """A repeated call shape resolves from a cache before the sorted
+    label key is built; it must resolve exactly as the key would."""
+
+    def test_permuted_kwargs_resolve_to_one_instrument(self):
+        reg = MetricsRegistry()
+        first = reg.counter("c", tier="a", status="ok")
+        for _ in range(2):
+            assert reg.counter("c", status="ok", tier="a") is first
+            assert reg.counter("c", tier="a", status="ok") is first
+        assert len(reg) == 1
+
+    def test_equal_hashing_values_stay_distinct_labels(self):
+        # 1, 1.0 and True are equal dict keys but label as "1", "1.0"
+        # and "True": three instruments, in any lookup order, twice.
+        reg = MetricsRegistry()
+        for _ in range(2):
+            for value in (1, 1.0, True, "1"):
+                reg.counter("c", v=value).inc()
+        assert len(reg) == 3
+        assert reg.value("c", v="1") == 4.0
+        assert reg.value("c", v="1.0") == 2.0
+        assert reg.value("c", v="True") == 2.0
+
+    def test_cached_shape_still_raises_on_kind_conflict(self):
+        reg = MetricsRegistry()
+        reg.counter("x", tier="a").inc()
+        reg.counter("x", tier="a").inc()
+        with pytest.raises(MetricsError, match="already registered"):
+            reg.histogram("x", tier="a")
+        with pytest.raises(MetricsError, match="already registered"):
+            reg.gauge("x", tier="a")
+        assert reg.value("x", tier="a") == 2.0
+
+    def test_unhashable_label_value_uses_sorted_key(self):
+        reg = MetricsRegistry()
+        reg.counter("c", ids=[1, 2]).inc()
+        reg.counter("c", ids=[1, 2]).inc()
+        assert reg.value("c", ids="[1, 2]") == 2.0
+        assert len(reg) == 1
+
+
 class TestReadOnlyAndExport:
     def test_peek_and_value_never_create(self):
         reg = MetricsRegistry()

@@ -43,6 +43,28 @@ class TestDecision:
                      value=128.0, limit=1024.0)
         assert Decision.from_dict(d.to_dict()) == d
 
+    def test_positional_construction_is_validated(self):
+        # The service builds decisions positionally: the tuple's fields
+        # are (t_s, request_id, action, tier, step, quantity, value,
+        # limit), and an unknown action still raises.
+        with pytest.raises(StepLogError, match="unknown decision action"):
+            Decision(0.0, 1, "vibed", "x")
+        with pytest.raises(StepLogError, match="unknown decision action"):
+            Decision.from_dict({"t_s": 0.0, "request_id": 1,
+                                "action": ["admitted"], "tier": "x"})
+        d = Decision(2.5, 7, "decode-scheduled", "background", 3,
+                     "token_index", 4.0)
+        assert (d.action, d.tier, d.step, d.value, d.limit) == (
+            "decode-scheduled", "background", 3, 4.0, None)
+
+    def test_roundtrip_with_defaults_and_pickle(self):
+        import pickle
+        d = Decision(t_s=1.0, request_id=3, action="admitted", tier="t")
+        assert d.to_dict()["step"] is None
+        assert Decision.from_dict(d.to_dict()) == d
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and type(back) is Decision
+
     def test_from_dict_missing_key(self):
         with pytest.raises(StepLogError, match="missing key"):
             Decision.from_dict({"t_s": 0.0, "request_id": 1})

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -48,11 +48,22 @@ class TestQuantizeInt8:
     @settings(max_examples=50, deadline=None)
     @given(hnp.arrays(np.float32, (16,),
                       elements=st.floats(-100, 100, width=32)))
+    @example(np.array([100.0] + [50.0] * 15, dtype=np.float32))
     def test_error_bounded_by_half_step(self, x):
         absmax = float(np.abs(x).max())
         scale = symmetric_scale(absmax)
-        err = np.abs(quantize_dequantize(x, scale) - x)
-        assert np.all(err <= scale / 2 + 1e-6)
+        # Rounding to the nearest code is off by at most half a step.
+        # ``dequantize`` then multiplies in float32 by the float32-rounded
+        # scale.  With ``spacing`` the float32 spacing at ``absmax``:
+        # the scale is off by at most half its own spacing, at most
+        # spacing / 128 since absmax = 127 * scale, times |code| <= 127,
+        # so under one spacing; the product, at most about absmax, is
+        # rounded by at most one spacing more.  The error is taken in
+        # float64, so its subtraction adds nothing.
+        spacing = float(np.spacing(np.float32(absmax)))
+        deq = quantize_dequantize(x, scale).astype(np.float64)
+        err = np.abs(deq - x.astype(np.float64))
+        assert np.all(err <= scale / 2 + 2 * spacing)
 
 
 class TestWeightQuantizers:
