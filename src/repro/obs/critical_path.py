@@ -32,10 +32,11 @@ Extraction has three parts: a structural index of the event set
 pass.  A served request's timeline is a prefill schedule followed by
 its decode steps, and the schedule repeats across requests (the prefill
 memo, :mod:`repro.core.pipeline`).  So :func:`request_critical_path`
-keeps each schedule's index and the gating chain that ends where decode
-starts in the schedule's :class:`~repro.core.results.PrefillFacts`, and
-per request only appends the decode steps and runs the latest-finish
-pass, whose values depend on the decode durations.
+keeps each schedule's index, the gating chain that ends where decode
+starts and the off-path events, as rows of static columns, in the
+schedule's :class:`~repro.core.results.PrefillFacts`.  Per request it
+only appends the decode steps, runs the latest-finish pass, whose
+values depend on the decode durations, and re-anchors the rows' times.
 
 Documents serialize under ``repro.critpath/v1`` with fully
 deterministic bytes; :func:`validate_critpath_doc` checks a saved one
@@ -51,7 +52,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.hw.trace import Trace, TraceEvent
@@ -74,13 +75,14 @@ class CritPathError(ReproError):
     """Critical-path extraction or validation failure."""
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(NamedTuple):
     """One on-path event plus the wait that preceded it.
 
     ``wait_s`` is the gap between the gating parent's finish (or the
     path origin) and this event's start; ``edge`` names how the event
-    was gated (:data:`PATH_EDGES`).
+    was gated (:data:`PATH_EDGES`).  An immutable tuple, so a path
+    costs one tuple per segment; it compares equal to a plain tuple of
+    its fields.
     """
 
     task_id: str
@@ -96,20 +98,20 @@ class PathSegment:
         return self.end_s - self.start_s
 
     def to_dict(self) -> dict:
+        task_id, proc, tag, start, end, wait, edge = self
         return {
-            "task_id": self.task_id,
-            "proc": self.proc,
-            "tag": self.tag,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "duration_s": self.duration_s,
-            "wait_s": self.wait_s,
-            "edge": self.edge,
+            "task_id": task_id,
+            "proc": proc,
+            "tag": tag,
+            "start_s": start,
+            "end_s": end,
+            "duration_s": end - start,
+            "wait_s": wait,
+            "edge": edge,
         }
 
 
-@dataclass(frozen=True)
-class SlackRecord:
+class SlackRecord(NamedTuple):
     """An off-path event and how late it could finish without gating."""
 
     task_id: str
@@ -120,13 +122,14 @@ class SlackRecord:
     slack_s: float
 
     def to_dict(self) -> dict:
+        task_id, proc, tag, start, end, slack = self
         return {
-            "task_id": self.task_id,
-            "proc": self.proc,
-            "tag": self.tag,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "slack_s": self.slack_s,
+            "task_id": task_id,
+            "proc": proc,
+            "tag": tag,
+            "start_s": start,
+            "end_s": end,
+            "slack_s": slack,
         }
 
 
@@ -147,7 +150,7 @@ class CriticalPath:
 
     @cached_property
     def work_s(self) -> float:
-        return sum(s.duration_s for s in self.segments)
+        return sum([s.end_s - s.start_s for s in self.segments])
 
     @cached_property
     def wait_s(self) -> float:
@@ -161,10 +164,10 @@ class CriticalPath:
     def _shares(self) -> Tuple[Dict[str, float], Dict[str, float]]:
         by_proc: Dict[str, float] = {}
         by_tag: Dict[str, float] = {}
-        for s in self.segments:
-            duration = s.duration_s
-            by_proc[s.proc] = by_proc.get(s.proc, 0.0) + duration
-            tag = s.tag or "task"
+        for _id, proc, tag, start, end, _wait, _edge in self.segments:
+            duration = end - start
+            by_proc[proc] = by_proc.get(proc, 0.0) + duration
+            tag = tag or "task"
             by_tag[tag] = by_tag.get(tag, 0.0) + duration
         return ({k: by_proc[k] for k in sorted(by_proc)},
                 {k: by_tag[k] for k in sorted(by_tag)})
@@ -202,6 +205,14 @@ class CriticalPath:
 #: A forward gating chain: each on-path event with the edge by which it
 #: gates the next one.
 _Chain = List[Tuple[TraceEvent, str]]
+
+#: The static columns of a chain event — task id, proc, ``tag or
+#: "task"``, start, end — and the edge by which it gates the next one.
+_ChainRow = Tuple[str, str, str, float, float, str]
+
+#: The static columns of an off-path event: its index in the event
+#: set, task id, proc, ``tag or "task"``, start and end.
+_OffPathRow = Tuple[int, str, str, str, float, float]
 
 
 def _sort_key(e: TraceEvent) -> Tuple[float, float, str]:
@@ -372,49 +383,48 @@ def _latest_finish(ix: _EventIndex, makespan_s: float,
     return latest
 
 
-def _off_path(ix: _EventIndex, chain: _Chain) -> List[int]:
+def _chain_rows(chain: _Chain) -> List[_ChainRow]:
+    return [(e.task_id, e.proc, e.tag or "task", e.start_s, e.end_s, edge)
+            for e, edge in chain]
+
+
+def _off_path(ix: _EventIndex, chain: _Chain) -> List[_OffPathRow]:
     on_path = {event.task_id for event, _edge in chain}
-    return [i for i, e in enumerate(ix.events) if e.task_id not in on_path]
+    return [(i, e.task_id, e.proc, e.tag or "task", e.start_s, e.end_s)
+            for i, e in enumerate(ix.events) if e.task_id not in on_path]
 
 
-def _segments(chain: _Chain, t0: float, prev_end: float,
+def _segments(rows: Sequence[_ChainRow], t0: float, prev_end: float,
               edge: str) -> List[PathSegment]:
-    """Segments of ``chain`` re-anchored at ``t0``, the first gated by
-    ``edge`` and following ``prev_end``.
+    """Segments of a chain's ``rows`` re-anchored at ``t0``, the first
+    gated by ``edge`` and following ``prev_end``.
 
     Waits are taken in the shifted frame — ``(t0 + a) - (t0 + b)`` is
     not ``a - b`` in floats, and the telescoping invariant must hold on
     the shifted numbers the path carries.
     """
     out: List[PathSegment] = []
-    for event, gates_next in chain:
-        start = t0 + event.start_s
-        end = t0 + event.end_s
-        out.append(PathSegment(
-            task_id=event.task_id, proc=event.proc, tag=event.tag or "task",
-            start_s=start, end_s=end, wait_s=start - prev_end, edge=edge,
-        ))
+    append = out.append
+    for task_id, proc, tag, start, end, gates_next in rows:
+        start = t0 + start
+        end = t0 + end
+        append(PathSegment(task_id, proc, tag, start, end, start - prev_end,
+                           edge))
         prev_end, edge = end, gates_next
     return out
 
 
-def _slack(ix: _EventIndex, off_path: Sequence[int], latest: List[float],
+def _slack(rows: Sequence[_OffPathRow], latest: List[float],
            t0: float) -> Tuple[SlackRecord, ...]:
-    """Slack records of the off-path events, re-anchored at ``t0``."""
-    out: List[SlackRecord] = []
-    for i in off_path:
-        e = ix.events[i]
-        out.append(SlackRecord(
-            task_id=e.task_id, proc=e.proc, tag=e.tag or "task",
-            start_s=t0 + e.start_s, end_s=t0 + e.end_s,
-            slack_s=latest[i] - e.end_s,
-        ))
-    return tuple(out)
+    """Slack records of the off-path ``rows``, re-anchored at ``t0``."""
+    return tuple([SlackRecord(task_id, proc, tag, t0 + start, t0 + end,
+                              latest[i] - end)
+                  for i, task_id, proc, tag, start, end in rows])
 
 
-#: One timeline's extraction: index, forward chain, latest finishes,
-#: off-path event indices and the timeline's event count.
-_Parts = Tuple[_EventIndex, _Chain, List[float], List[int], int]
+#: One timeline's extraction: chain rows, latest finishes, off-path rows
+#: and the timeline's event count.
+_Parts = Tuple[List[_ChainRow], List[float], List[_OffPathRow], int]
 
 
 def _trace_parts(trace: Trace, tasks, source: str) -> _Parts:
@@ -428,7 +438,8 @@ def _trace_parts(trace: Trace, tasks, source: str) -> _Parts:
     sink = max(ix.events, key=lambda e: (e.end_s, e.start_s, e.task_id))
     chain = _walk(ix, sink, "origin", deps, tasks is None, source)
     latest = _latest_finish(ix, ix.makespan_s)
-    return ix, chain, latest, _off_path(ix, chain), len(ix.events)
+    return (_chain_rows(chain), latest, _off_path(ix, chain),
+            len(ix.events))
 
 
 def critical_path(trace: Trace, tasks=None,
@@ -442,14 +453,13 @@ def critical_path(trace: Trace, tasks=None,
     trace makespan: Σ(wait + duration) over segments equals the
     makespan up to float re-association.
     """
-    ix, chain, latest, off_path, n_events = _trace_parts(trace, tasks,
-                                                         source)
+    chain, latest, off_path, n_events = _trace_parts(trace, tasks, source)
     path = CriticalPath(
         source=source,
         origin_s=0.0,
         e2e_s=trace.makespan_s,
         segments=tuple(_segments(chain, 0.0, 0.0, "origin")),
-        slack=_slack(ix, off_path, latest, 0.0),
+        slack=_slack(off_path, latest, 0.0),
         n_events=n_events,
     )
     validate_critical_path(path)
@@ -468,6 +478,9 @@ class _ScheduleAnchor:
     late, the last schedule event on the decode processor.  The walk
     back from the anchor never reaches a decode step, so the chain that
     ends there is the same for every request that runs the schedule.
+    The anchor keeps that chain's and the off-path events' static
+    columns (:data:`_ChainRow`, :data:`_OffPathRow`), so a request only
+    re-anchors their times.
     """
 
     def __init__(self, facts, decode_backend: str):
@@ -478,8 +491,9 @@ class _ScheduleAnchor:
         prev = None if self.tail_from is None else ix.events[self.tail_from]
         anchor, edge = _gating_parent(ix, ix.makespan_s, prev, (), set(),
                                       True)
-        self.chain = _walk(ix, anchor, edge, {}, True, source)
-        self.off_path = _off_path(ix, self.chain)
+        chain = _walk(ix, anchor, edge, {}, True, source)
+        self.chain = _chain_rows(chain)
+        self.off_path = _off_path(ix, chain)
         validate_critical_path(CriticalPath(
             source=source, origin_s=0.0, e2e_s=anchor.end_s,
             segments=tuple(_segments(self.chain, 0.0, 0.0, "origin")),
@@ -506,8 +520,8 @@ def _schedule_parts(report, decode_backend: str) -> Optional[_Parts]:
         return None
     latest = _latest_finish(ix, steps[-1].end_s,
                             [s.duration_s for s in steps], anchor.tail_from)
-    chain = anchor.chain + [(s, "resource") for s in steps]
-    return ix, chain, latest, anchor.off_path, len(ix.events) + len(steps)
+    chain = anchor.chain + _chain_rows([(s, "resource") for s in steps])
+    return chain, latest, anchor.off_path, len(ix.events) + len(steps)
 
 
 # -- validation ----------------------------------------------------------------
@@ -515,6 +529,11 @@ def _schedule_parts(report, decode_backend: str) -> Optional[_Parts]:
 _SEGMENT_CHECKED = ("task_id", "start_s", "end_s", "duration_s", "wait_s",
                     "edge")
 _SLACK_CHECKED = ("task_id", "slack_s")
+
+
+def _at(source, i: int, task_id) -> str:
+    """Where a segment error is, formatted only once one is found."""
+    return f"{source}: segments[{i}] ({task_id})"
 
 
 def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
@@ -544,23 +563,25 @@ def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
     total = 0.0
     for i, (task_id, start, end, duration, wait, edge) in enumerate(
             map(fields, segments)):
-        where = f"{source}: segments[{i}] ({task_id})"
         dur = end - start
         if dur < -tol_s:
-            raise CritPathError(f"{where}: negative duration {dur!r}")
+            raise CritPathError(f"{_at(source, i, task_id)}: negative "
+                                f"duration {dur!r}")
         if abs(duration - dur) > tol_s:
             raise CritPathError(
-                f"{where}: duration_s {duration!r} != "
+                f"{_at(source, i, task_id)}: duration_s {duration!r} != "
                 f"end - start {dur!r}")
         if wait < -tol_s:
-            raise CritPathError(f"{where}: negative wait {wait!r}")
+            raise CritPathError(f"{_at(source, i, task_id)}: negative "
+                                f"wait {wait!r}")
         gap = start - (prev_end + wait)
         if abs(gap) > tol_s:
             raise CritPathError(
-                f"{where}: start {start!r} != previous end "
-                f"{prev_end!r} + wait {wait!r}")
+                f"{_at(source, i, task_id)}: start {start!r} != previous "
+                f"end {prev_end!r} + wait {wait!r}")
         if edge not in PATH_EDGES:
-            raise CritPathError(f"{where}: unknown edge {edge!r}")
+            raise CritPathError(f"{_at(source, i, task_id)}: unknown edge "
+                                f"{edge!r}")
         total += wait + duration
         prev_end = end
     if abs(total - e2e) > tol_s:
@@ -581,14 +602,14 @@ def validate_critical_path(path, tol_s: float = CRITPATH_TOL_S) -> None:
 
 _CRITPATH_DOC = {"schema": str, "source": object, "n_paths": int,
                  "paths": list, "totals": dict}
-_PATH = {"source": object, "origin_s": float, "e2e_s": float,
+_PATH = {"source": str, "origin_s": float, "e2e_s": float,
          "n_events": object, "n_segments": int, "work_s": float,
          "wait_s": float, "by_proc": dict, "by_tag": dict,
          "segments": list, "slack": list}
-_SEGMENT = {"task_id": object, "proc": object, "tag": object,
+_SEGMENT = {"task_id": str, "proc": str, "tag": str,
             "start_s": float, "end_s": float, "duration_s": float,
             "wait_s": float, "edge": object}
-_SLACK = {"task_id": object, "proc": object, "tag": object,
+_SLACK = {"task_id": str, "proc": str, "tag": str,
           "start_s": object, "end_s": object, "slack_s": float}
 _TOTALS = {"work_s": float, "wait_s": float, "by_proc": dict,
            "by_tag": dict}
@@ -598,10 +619,12 @@ def validate_critpath_doc(doc: dict,
                           tol_s: float = CRITPATH_TOL_S) -> None:
     """Validate a saved ``repro.critpath/v1`` document (a dict).
 
-    Record keys and finite numbers, then :func:`validate_critical_path`
-    on every path; per path, segment durations sum to ``work_s`` and to
-    each of ``by_proc`` / ``by_tag``, waits sum to ``wait_s``; the
-    ``totals`` block is the per-path sum.  Raises :class:`CritPathError`.
+    Record keys, string ids and finite numbers, and one path per
+    ``source`` (``llmnpu diff`` aligns requests by it), then
+    :func:`validate_critical_path` on every path; per path, segment
+    durations sum to ``work_s`` and to each of ``by_proc`` /
+    ``by_tag``, waits sum to ``wait_s``; the ``totals`` block is the
+    per-path sum.  Raises :class:`CritPathError`.
     """
     require(doc, _CRITPATH_DOC, "critpath", CritPathError)
     if doc["schema"] != CRITPATH_SCHEMA:
@@ -614,9 +637,14 @@ def validate_critpath_doc(doc: dict,
     work = wait = 0.0
     by_proc: Dict[str, float] = {}
     by_tag: Dict[str, float] = {}
+    sources = set()
     for i, p in enumerate(paths):
         where = f"paths[{i}]"
         require(p, _PATH, where, CritPathError)
+        if p["source"] in sources:
+            raise CritPathError(f"{where}: duplicate source "
+                                f"{p['source']!r}")
+        sources.add(p["source"])
         if p["n_segments"] != len(p["segments"]):
             raise CritPathError(f"{where}: n_segments != len(segments)")
         for j, seg in enumerate(p["segments"]):
@@ -689,7 +717,7 @@ def request_critical_path(record, decode_backend: str = "cpu",
              else None)
     if parts is None:
         parts = _trace_parts(report.timeline(decode_backend), tasks, source)
-    ix, chain, latest, off_path, n_events = parts
+    chain, latest, off_path, n_events = parts
     t0 = record.finish_s - report.e2e_latency_s
     segments: List[PathSegment] = []
     prev_end = record.arrival_s
@@ -724,7 +752,7 @@ def request_critical_path(record, decode_backend: str = "cpu",
         origin_s=record.arrival_s,
         e2e_s=record.finish_s - record.arrival_s,
         segments=tuple(segments),
-        slack=_slack(ix, off_path, latest, t0),
+        slack=_slack(off_path, latest, t0),
         n_events=n_events,
     )
     validate_critical_path(path)

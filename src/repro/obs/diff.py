@@ -108,24 +108,26 @@ def _segment_keys(segments: Sequence[dict]) -> List[Tuple[str, int]]:
     return keys
 
 
-def _gating_s(seg: dict) -> float:
-    return seg["wait_s"] + seg["duration_s"]
-
-
 def _diff_request(base_path: dict, new_path: dict,
                   tol_s: float) -> dict:
-    """Align one matched request's segments and attribute its e2e delta."""
+    """Align one matched request's segments and attribute its e2e delta.
+
+    A segment's gating time is ``wait_s + duration_s``; a matched
+    segment's status is ``grew`` / ``shrank`` beyond ``tol_s``, else
+    ``unchanged``.
+    """
     base_segs = base_path["segments"]
     new_segs = new_path["segments"]
-    base_by_key = dict(zip(_segment_keys(base_segs), base_segs))
-    new_keys = _segment_keys(new_segs)
+    base_keys = _segment_keys(base_segs)
+    base_by_key = dict(zip(base_keys, base_segs))
     segments = []
+    append = segments.append
     matched = set()
-    for key, seg in zip(new_keys, new_segs):
+    for key, seg in zip(_segment_keys(new_segs), new_segs):
         old = base_by_key.get(key)
-        new_s = _gating_s(seg)
+        new_s = seg["wait_s"] + seg["duration_s"]
         if old is None:
-            segments.append({
+            append({
                 "task_id": seg["task_id"],
                 "tag": seg["tag"],
                 "base_proc": None,
@@ -137,9 +139,9 @@ def _diff_request(base_path: dict, new_path: dict,
             })
             continue
         matched.add(key)
-        base_s = _gating_s(old)
+        base_s = old["wait_s"] + old["duration_s"]
         delta_s = new_s - base_s
-        segments.append({
+        append({
             "task_id": seg["task_id"],
             "tag": seg["tag"],
             "base_proc": old["proc"],
@@ -147,13 +149,15 @@ def _diff_request(base_path: dict, new_path: dict,
             "base_s": base_s,
             "new_s": new_s,
             "delta_s": delta_s,
-            "status": _status(delta_s, tol_s),
+            "status": ("grew" if delta_s > tol_s
+                       else "shrank" if delta_s < -tol_s
+                       else "unchanged"),
         })
-    for key, seg in zip(_segment_keys(base_segs), base_segs):
+    for key, seg in zip(base_keys, base_segs):
         if key in matched:
             continue
-        base_s = _gating_s(seg)
-        segments.append({
+        base_s = seg["wait_s"] + seg["duration_s"]
+        append({
             "task_id": seg["task_id"],
             "tag": seg["tag"],
             "base_proc": seg["proc"],
@@ -192,17 +196,16 @@ def diff_critpath_docs(base: dict, new: dict,
     by_status = {status: 0 for status in DIFF_STATUSES}
     for req in requests:
         for seg in req["segments"]:
-            by_stage[seg["tag"]] = (by_stage.get(seg["tag"], 0.0)
-                                    + seg["delta_s"])
+            tag, delta = seg["tag"], seg["delta_s"]
+            by_stage[tag] = by_stage.get(tag, 0.0) + delta
             proc = seg["new_proc"] or seg["base_proc"]
-            by_proc[proc] = by_proc.get(proc, 0.0) + seg["delta_s"]
+            by_proc[proc] = by_proc.get(proc, 0.0) + delta
             by_status[seg["status"]] += 1
     base_e2e = sum(r["base_e2e_s"] for r in requests)
     new_e2e = sum(r["new_e2e_s"] for r in requests)
     identical = (
         not only_base and not only_new
-        and all(s["status"] == "unchanged"
-                for r in requests for s in r["segments"])
+        and by_status["unchanged"] == sum(by_status.values())
         and all(abs(r["delta_s"]) <= tol_s for r in requests)
     )
     contributors = sorted(

@@ -6,6 +6,9 @@ attribution partitions latency instead of double-counting it.
 """
 
 import dataclasses
+import gzip
+import os
+import pickle
 
 import pytest
 
@@ -13,6 +16,9 @@ from repro.core import LlmNpuEngine
 from repro.core.pipeline import clear_prepared_graphs
 from repro.core.service import ServedRequest
 from repro.eval import batched_golden_service, service_golden_records
+from repro.eval.diff_eval import golden_baseline_critpath_json
+from repro.eval.report import results_dir
+from repro.eval.whatif_eval import golden_critpath_json
 from repro.hw.sim import Task
 from repro.hw.trace import Trace, TraceEvent
 from repro.obs import (
@@ -24,7 +30,12 @@ from repro.obs import (
     request_critical_path,
     validate_critical_path,
 )
-from repro.obs.critical_path import SlackRecord, _EventIndex, _ScheduleAnchor
+from repro.obs.critical_path import (
+    PathSegment,
+    SlackRecord,
+    _EventIndex,
+    _ScheduleAnchor,
+)
 
 
 def trace_of(*events):
@@ -94,6 +105,30 @@ class TestExtraction:
         assert path.by_tag() == {"x": 2.0, "y": 1.5}
 
 
+class TestRows:
+    """Segments and slack records are tuples that serialize as before."""
+
+    SEGMENT = PathSegment("sg1.qkv", "npu", "sg1", 0.25, 1.5, 0.125, "dep")
+    SLACK = SlackRecord("sg2.ffn", "cpu", "sg2", 0.5, 0.75, 0.0625)
+
+    def test_segment_to_dict_is_fields_plus_duration(self):
+        seg = self.SEGMENT
+        assert seg.to_dict() == {**seg._asdict(),
+                                 "duration_s": seg.end_s - seg.start_s}
+        assert seg.duration_s == 1.25
+
+    def test_slack_to_dict_is_fields(self):
+        assert self.SLACK.to_dict() == self.SLACK._asdict()
+
+    def test_segment_is_a_comparable_picklable_tuple(self):
+        seg = self.SEGMENT
+        assert seg == PathSegment(*seg) == tuple(seg)
+        assert seg != seg._replace(wait_s=0.0)
+        assert hash(seg) == hash(tuple(seg))
+        again = pickle.loads(pickle.dumps(seg))
+        assert again == seg and type(again) is PathSegment
+
+
 class TestValidation:
     def make_doc(self):
         trace = trace_of(("a", "p", 0.0, 1.0, ""),
@@ -136,8 +171,8 @@ def _shift_second(path):
     late = path.segments[1]
     return dataclasses.replace(path, segments=(
         path.segments[0],
-        dataclasses.replace(late, start_s=late.start_s + 0.5,
-                            end_s=late.end_s + 0.5)))
+        late._replace(start_s=late.start_s + 0.5,
+                      end_s=late.end_s + 0.5)))
 
 
 #: The hostile cases above, applied to a CriticalPath object.
@@ -148,7 +183,7 @@ HOSTILE_PATHS = {
         "end-to-end"),
     "unknown edge": (
         lambda p: dataclasses.replace(p, segments=(
-            dataclasses.replace(p.segments[0], edge="telepathy"),
+            p.segments[0]._replace(edge="telepathy"),
             *p.segments[1:])),
         "unknown edge"),
     "negative slack": (
@@ -306,3 +341,24 @@ class TestScheduleCache:
             [r.task_id for r in hw.slack]
         assert path.n_events == len(report.prefill.trace.events)
         assert path.e2e_s == record.finish_s - record.arrival_s
+
+
+# -- committed goldens: an oracle written by an earlier extractor ------------
+
+
+def _committed(name):
+    with gzip.open(os.path.join(results_dir(), "json", name), "rt") as f:
+        return f.read()
+
+
+class TestCommittedGoldens:
+    """Live documents equal the committed ones byte for byte (the files
+    end in the writer's newline)."""
+
+    def test_golden_critpath_matches_live(self):
+        assert _committed("GOLDEN_critpath.json.gz") == \
+            golden_critpath_json(seed=42) + "\n"
+
+    def test_golden_diff_baseline_matches_live(self):
+        assert _committed("GOLDEN_diff_baseline.json.gz") == \
+            golden_baseline_critpath_json() + "\n"

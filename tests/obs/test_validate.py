@@ -314,6 +314,27 @@ class TestDiffAndExplainInputs:
         assert self._diff(critpath_file, broken, tmp_path) == 2
         assert "diff:" in capsys.readouterr().err
 
+    def test_list_task_id(self, critpath_file, tmp_path, capsys):
+        # diff keys segments by task id; a list there must be caught
+        # by the validator, not crash the alignment.
+        broken = _set(_artifacts()["critpath"],
+                      ("paths", 0, "segments", 1, "task_id"), ["sg1", 0])
+        assert self._diff(critpath_file, broken, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "'task_id' must be a string" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_path_source(self, critpath_file, tmp_path, capsys):
+        # diff aligns requests by source; a second path with the same
+        # source would be dropped silently.
+        broken = copy.deepcopy(_artifacts()["critpath"])
+        broken["paths"].append(copy.deepcopy(broken["paths"][0]))
+        broken["n_paths"] = len(broken["paths"])
+        assert self._diff(critpath_file, broken, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "duplicate source" in err
+        assert "Traceback" not in err
+
     def test_truncated_gzip(self, critpath_file, tmp_path, capsys):
         packed = gzip.compress(critpath_file.read_bytes())
         trunc = tmp_path / "trunc.json.gz"
