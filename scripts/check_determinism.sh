@@ -302,9 +302,15 @@ print("OK: what-if predictions match the reference simulator within",
 # The simulator loop must make exactly the choices of the kept-verbatim
 # reference implementation on the self-benchmark graphs, under every
 # scheduling policy (the speedup suite's correctness precondition).
+# The real prefill DAG runs as the engine runs it, with the dependents
+# lowering hands the simulator as indices, and again as a plain list.
 python -c '
 from repro.core.scheduler import POLICIES, get_policy
-from repro.eval.simbench import SIM_SCENARIOS, synthetic_task_graph
+from repro.eval.simbench import (
+    SIM_SCENARIOS,
+    prefill_task_graph,
+    synthetic_task_graph,
+)
 from repro.hw.sim import ReferenceSimulator, Simulator
 
 for scenario in SIM_SCENARIOS:
@@ -313,9 +319,18 @@ for scenario in SIM_SCENARIOS:
         fast = Simulator(procs).run(tasks, get_policy(name))
         ref = ReferenceSimulator(procs).run(tasks, get_policy(name))
         assert fast.events == ref.events, (scenario.name, name)
+procs, tasks = prefill_task_graph()
+assert tasks.dependents is not None
+for name in sorted(POLICIES):
+    ref = ReferenceSimulator(procs).run(list(tasks), get_policy(name))
+    linked = Simulator(procs).run(tasks, get_policy(name),
+                                  tasks.dependents)
+    plain = Simulator(procs).run(list(tasks), get_policy(name))
+    assert linked.events == ref.events, ("prefill", name)
+    assert plain.events == ref.events, ("prefill", name)
 print("OK: simulator matches the reference on",
-      len(SIM_SCENARIOS), "benchmark graph shapes x", len(POLICIES),
-      "policies")
+      len(SIM_SCENARIOS), "benchmark graph shapes and the",
+      len(tasks), "task prefill DAG x", len(POLICIES), "policies")
 '
 
 # The run-to-run diff layer (repro.diff/v1): diffing a run against

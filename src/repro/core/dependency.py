@@ -16,7 +16,7 @@ task that merges the two results before the next subgraph may start.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import DependencyError
 from repro.graph.builder import ChunkPlan
@@ -42,9 +42,46 @@ def sync_id(chunk: int, layer: int, position: int) -> str:
 _TAGS = tuple((f"sg{pos}.float", f"sg{pos}")
               for pos in range(SUBGRAPHS_PER_BLOCK))
 
-#: A lowered chunk's tasks by ``(chunk, scheduled earlier chunks,
+
+class TaskBlock(NamedTuple):
+    """One lowered chunk, with the dependents of the DAG it ends.
+
+    In a DAG whose plans are in chunk order, a block sits right after
+    the blocks of its ``earlier`` chunks, so the DAG up to and including
+    it, and the DAG indices of its tasks, depend only on its key (see
+    :data:`TaskBlocks`).  ``positions`` and ``dependents`` are ``None``
+    when that DAG cannot be indexed: an id repeats or a dependency does
+    not resolve.
+    """
+
+    tasks: Tuple[Task, ...]
+    #: Each task's DAG index by id, to resolve later blocks' Eq. 2 deps.
+    positions: Optional[Dict[str, int]]
+    #: Each task of the DAG ending with this block, its dependents as
+    #: DAG indices, as :meth:`Simulator.run <repro.hw.sim.Simulator.run>`
+    #: takes them.
+    dependents: Optional[Tuple[Tuple[int, ...], ...]]
+
+
+#: A lowered chunk's block by ``(chunk, scheduled earlier chunks,
 #: float_proc, include_shadow, shadow_proc)``; see :func:`build_task_graph`.
-TaskBlocks = Dict[tuple, Tuple[Task, ...]]
+TaskBlocks = Dict[tuple, TaskBlock]
+
+
+class TaskList(list):
+    """The tasks :func:`build_task_graph` returns.
+
+    ``dependents`` holds each task's dependents as indices into the
+    list, for :meth:`Simulator.run <repro.hw.sim.Simulator.run>`, or is
+    ``None`` when the DAG has none.  Changing the list does not change
+    ``dependents``.
+    """
+
+    __slots__ = ("dependents",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dependents: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
 def build_task_graph(
@@ -53,7 +90,7 @@ def build_task_graph(
     include_shadow: bool = True,
     shadow_proc: Optional[str] = None,
     blocks: Optional[TaskBlocks] = None,
-) -> List[Task]:
+) -> TaskList:
     """Lower chunk plans into a :class:`~repro.hw.sim.Task` list.
 
     ``float_proc`` is the processor name for float subgraphs and syncs
@@ -70,6 +107,11 @@ def build_task_graph(
     for plans of one chunk-sharing graph
     (:meth:`~repro.core.pipeline.PreparedGraph.task_blocks`).  The list
     returned is always fresh; its frozen tasks may be shared.
+
+    Plans in increasing chunk order also get the DAG's ``dependents``,
+    which its last block keeps (:class:`TaskBlock`).  Plans in any other
+    order are lowered afresh, without them: a block's DAG indices hold
+    only in chunk order.
     """
     if not plans:
         raise DependencyError("no chunk plans given")
@@ -78,7 +120,12 @@ def build_task_graph(
     # dependencies only apply to chunks executed in *this* prefill.
     scheduled_chunks = {plan.chunk_index for plan in plans}
     shadow_proc = shadow_proc if shadow_proc is not None else float_proc
-    tasks: List[Task] = []
+    in_order = all(a.chunk_index < b.chunk_index
+                   for a, b in zip(plans, plans[1:]))
+    if not in_order:
+        blocks = None
+    tasks = TaskList()
+    lowered: List[TaskBlock] = []
     for plan in plans:
         earlier = tuple(c for c in range(plan.chunk_index)
                         if c in scheduled_chunks)
@@ -88,10 +135,44 @@ def build_task_graph(
         if block is None:
             block = _lower_chunk(plan, earlier, float_proc, include_shadow,
                                  shadow_proc)
+            block = (_link_block(block, lowered) if in_order
+                     else TaskBlock(block, None, None))
             if blocks is not None:
                 blocks[key] = block
-        tasks.extend(block)
+        tasks.extend(block.tasks)
+        lowered.append(block)
+    tasks.dependents = lowered[-1].dependents
     return tasks
+
+
+def _link_block(block: Tuple[Task, ...],
+                before: List[TaskBlock]) -> TaskBlock:
+    """``block`` placed right after the ``before`` blocks, with the
+    dependents of the DAG it ends; the ``before`` blocks' ``positions``
+    resolve its dependencies on them.  Ids are checked for repeats only
+    within the block: every id lowering makes starts with its chunk."""
+    prefix = before[-1].dependents if before else ()
+    if prefix is None:
+        return TaskBlock(block, None, None)
+    offset = len(prefix)
+    ids, _, _, deps = tuple(zip(*block))[:4]
+    positions = dict(zip(ids, range(offset, offset + len(ids))))
+    if len(positions) != len(ids):
+        return TaskBlock(block, None, None)
+    dependents = list(prefix)
+    dependents += [()] * len(ids)
+    for i, task_deps in enumerate(deps, offset):
+        for d in task_deps:
+            j = positions.get(d)
+            if j is None:
+                for prior in before:
+                    j = prior.positions.get(d)
+                    if j is not None:
+                        break
+                else:
+                    return TaskBlock(block, None, None)
+            dependents[j] += (i,)
+    return TaskBlock(block, positions, tuple(dependents))
 
 
 def _lower_chunk(plan: ChunkPlan, earlier: Tuple[int, ...], float_proc: str,
@@ -111,15 +192,11 @@ def _lower_chunk(plan: ChunkPlan, earlier: Tuple[int, ...], float_proc: str,
             deps += tuple(task_id(c, layer, SG_QKV) for c in earlier)
         tid = task_id(chunk, layer, pos)
         is_npu = subgraph.is_npu
+        index = layer * 6 + pos
+        # Task(task_id, proc, duration_s, deps, tag, chunk, subgraph, ops)
         tasks.append(Task(
-            task_id=tid,
-            proc="npu" if is_npu else float_proc,
-            duration_s=subgraph.latency_s,
-            deps=deps,
-            tag=_TAGS[pos][is_npu],
-            chunk=chunk,
-            subgraph=layer * 6 + pos,
-            ops=subgraph.matmul_ops,
+            tid, "npu" if is_npu else float_proc, subgraph.latency_s,
+            deps, _TAGS[pos][is_npu], chunk, index, subgraph.matmul_ops,
         ))
         gate = (tid,)
         shadow_spec = plan.shadows.get((layer, pos))
@@ -127,31 +204,20 @@ def _lower_chunk(plan: ChunkPlan, earlier: Tuple[int, ...], float_proc: str,
                 and shadow_spec.enabled):
             sid = shadow_id(chunk, layer, pos)
             tasks.append(Task(
-                task_id=sid,
-                proc=shadow_proc,
-                duration_s=(shadow_spec.matmul_s + shadow_spec.disk_s),
-                deps=deps,  # same inputs as NPU half
-                tag="shadow",
-                chunk=chunk,
-                subgraph=layer * 6 + pos,
-                ops=shadow_spec.matmul_ops,
+                sid, shadow_proc, shadow_spec.matmul_s + shadow_spec.disk_s,
+                deps,  # same inputs as NPU half
+                "shadow", chunk, index, shadow_spec.matmul_ops,
             ))
             # The merge synchronization stalls the NPU queue itself:
             # cache maintenance + driver fence + graph re-arm happen on
             # the accelerator side, so sync occupies the NPU (this is
             # the §3.3 overhead that importance pruning removes — the
             # paper measures it at 29.7% of end-to-end latency when no
-            # layer is pruned).
+            # layer is pruned).  sync_s is ~0 when float work shares
+            # the NPU.
             yid = sync_id(chunk, layer, pos)
-            tasks.append(Task(
-                task_id=yid,
-                proc="npu",
-                duration_s=shadow_spec.sync_s,
-                deps=(tid, sid),
-                tag="sync",
-                chunk=chunk,
-                subgraph=layer * 6 + pos,
-            ))  # sync_s is ~0 when float work shares the NPU
+            tasks.append(Task(yid, "npu", shadow_spec.sync_s, (tid, sid),
+                              "sync", chunk, index))
             gate = (yid,)
     return tuple(tasks)
 

@@ -20,7 +20,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.decode import DecodeOptions, decode_token_costs
-from repro.core.dependency import TaskBlocks, build_task_graph
+from repro.core.dependency import TaskBlocks, TaskList, build_task_graph
 from repro.core.scheduler import get_policy
 from repro.errors import EngineError
 from repro.graph.builder import BuildOptions, ChunkPlan, GraphBuilder
@@ -30,7 +30,7 @@ from repro.graph.memory_plan import (
     kv_cache_bytes,
     plan_chunk_sharing,
 )
-from repro.hw.sim import SchedulingPolicy, Simulator, Task
+from repro.hw.sim import SchedulingPolicy, Simulator
 from repro.hw.soc import SocSpec
 from repro.hw.trace import Trace
 from repro.core.results import PrefillFacts, PrefillReport
@@ -56,7 +56,7 @@ def lower_prefill(
     include_shadow: bool,
     shadow_backend: Optional[str],
     blocks: Optional[TaskBlocks] = None,
-) -> Tuple[List[str], List[Task]]:
+) -> Tuple[List[str], TaskList]:
     """The processors, in dispatch order, and the task DAG one prefill
     of ``plans`` schedules (``blocks``: see :func:`build_task_graph`)."""
     tasks = build_task_graph(plans, float_proc=float_backend,
@@ -95,8 +95,8 @@ def run_prefill(
                                       shadow_backend, blocks)
     simulator = Simulator(processors)
     scheduling = policy if isinstance(policy, SchedulingPolicy) else get_policy(policy)
-    trace = simulator.run(tasks, scheduling)
-    facts = PrefillFacts(tuple(trace.events))
+    trace = simulator.run(tasks, scheduling, tasks.dependents)
+    facts = PrefillFacts(tuple(trace.events), dict(trace.lanes))
     busy = facts.busy_by_processor
     return PrefillReport(
         prompt_tokens=prompt_tokens,

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter, sub
 from types import MappingProxyType
 from typing import (Any, Callable, Dict, Hashable, List, Mapping, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 from repro.hw.energy import EnergyBreakdown
 from repro.hw.trace import Trace, TraceEvent
+
+_start = attrgetter("start_s")
+_end = attrgetter("end_s")
 
 
 @dataclass(frozen=True)
@@ -19,10 +23,16 @@ class PrefillFacts:
     Built over the schedule's frozen events, so the prefill memo entry
     of a DAG and every report handed out for it share one instance and
     derive each fact once; a schedule that is never asked pays nothing.
-    Layers above ``core`` keep their own facts here with :meth:`derive`.
+    ``lanes`` are each processor's events in start order, as
+    :meth:`~repro.hw.sim.Simulator.run` grouped them while dispatching
+    (:attr:`Trace.lanes <repro.hw.trace.Trace>`), so no fact regroups
+    the events.  Layers above ``core`` keep their own facts here with
+    :meth:`derive`.
     """
 
     events: Tuple[TraceEvent, ...]
+    lanes: Mapping[str, Sequence[TraceEvent]] = field(compare=False,
+                                                       repr=False)
     _derived: Dict[Hashable, Any] = field(default_factory=dict, init=False,
                                           compare=False, repr=False)
 
@@ -40,30 +50,20 @@ class PrefillFacts:
             return value
 
     @cached_property
-    def _events_by_processor(self) -> Dict[str, List[TraceEvent]]:
-        """Each processor's events in :meth:`Trace.events_on` order (a
-        stable sort by start), grouped in one pass."""
-        by_proc: Dict[str, List[TraceEvent]] = {}
-        for event in self.events:
-            by_proc.setdefault(event.proc, []).append(event)
-        for events in by_proc.values():
-            events.sort(key=lambda e: e.start_s)
-        return by_proc
-
-    @cached_property
     def busy_by_processor(self) -> Mapping[str, float]:
         """Read-only :meth:`Trace.busy_by_processor` of the schedule."""
-        by_proc = self._events_by_processor
+        # Each event's ``end_s - start_s`` (its duration_s), in lane order.
         return MappingProxyType({
-            proc: sum(e.duration_s for e in by_proc[proc])
-            for proc in sorted(by_proc)})
+            proc: sum(map(sub, map(_end, lane), map(_start, lane)))
+            for proc, lane in sorted(self.lanes.items())})
 
     def bubble_rate(self, proc: str) -> float:
         """:meth:`Trace.bubble_rate` of the schedule."""
-        events = self._events_by_processor.get(proc)
+        events = self.lanes.get(proc)
         if not events:
             return 0.0
-        span = max(e.end_s for e in events) - min(e.start_s for e in events)
+        # A lane is in start order, so its first event starts first.
+        span = max(map(_end, events)) - events[0].start_s
         if span <= 0:
             return 0.0
         return max(0.0, 1.0 - self.busy_by_processor[proc] / span)

@@ -104,15 +104,20 @@ PREFILL_DAG = {"model": "LlaMA-2-7B", "device": "Redmi K70 Pro",
 
 
 def prefill_task_graph():
-    """Processors and tasks of :data:`PREFILL_DAG`, as the engine lowers
-    them (:func:`~repro.obs.whatif.capture_engine_run`)."""
+    """Processors and tasks of :data:`PREFILL_DAG`, as
+    :func:`~repro.core.pipeline.run_prefill` lowers them: from the
+    engine's prepared graph, with the dependents the simulator takes in
+    place of the ids."""
     from repro.core.engine import LlmNpuEngine
-    from repro.obs.whatif import capture_engine_run
+    from repro.core.pipeline import lower_prefill
 
     engine = LlmNpuEngine.build(PREFILL_DAG["model"], PREFILL_DAG["device"])
-    run = capture_engine_run(
-        engine, PREFILL_DAG["n_chunks"] * engine.config.chunk_len)
-    return list(run.processors), list(run.tasks)
+    cfg = engine.config
+    plans = engine.graph.plans_for_prompt(
+        PREFILL_DAG["n_chunks"] * cfg.chunk_len, 0)
+    return lower_prefill(plans, cfg.float_backend,
+                         cfg.quant_mode == "shadow", cfg.shadow_backend,
+                         engine._prepared.task_blocks())
 
 
 def synthetic_task_graph(scenario: SimScenario, n_procs: int = 3,
@@ -161,9 +166,11 @@ def sim_core_speed(repeats: int = 3, seed: int = 0) -> Table:
              for scenario in SIM_SCENARIOS]
     cases.append(("prefill-ooo", "ooo", prefill_task_graph()))
     for name, policy, (procs, tasks) in cases:
+        dependents = getattr(tasks, "dependents", None)  # prefill DAG's
         (ref_s, ref_trace), (fast_s, fast_trace) = _best_of(
             [lambda: ReferenceSimulator(procs).run(tasks, get_policy(policy)),
-             lambda: Simulator(procs).run(tasks, get_policy(policy))],
+             lambda: Simulator(procs).run(tasks, get_policy(policy),
+                                         dependents)],
             repeats,
         )
         if fast_trace.events != ref_trace.events:

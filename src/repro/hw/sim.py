@@ -13,8 +13,17 @@ import heapq
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -24,7 +33,7 @@ from repro.errors import (
     SchedulingError,
     TransientEngineError,
 )
-from repro.hw.trace import Trace, TraceEvent
+from repro.hw.trace import Trace, TraceEvent, check_serial
 
 
 @dataclass(frozen=True)
@@ -173,10 +182,10 @@ class FaultInjector:
         return self._n_injected[kind]
 
 
-@dataclass(frozen=True)
-class Task:
-    """A schedulable unit (one subgraph execution, sync, etc.)."""
+_INF = float("inf")
 
+
+class _TaskFields(NamedTuple):
     task_id: str
     proc: str
     duration_s: float
@@ -186,19 +195,33 @@ class Task:
     subgraph: int = -1
     ops: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.duration_s < 0:
+
+class Task(_TaskFields):
+    """A schedulable unit (one subgraph execution, sync, etc.).
+
+    An immutable tuple, like :class:`~repro.hw.trace.TraceEvent`:
+    lowering builds one per subgraph, shadow and sync of every chunk.
+    Every construction, ``_replace`` and ``_make`` included, rejects a
+    negative or non-finite duration.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, task_id: str, proc: str, duration_s: float,
+                deps: Tuple[str, ...] = (), tag: str = "", chunk: int = -1,
+                subgraph: int = -1, ops: float = 0.0) -> "Task":
+        if not 0.0 <= duration_s < _INF:
             raise SchedulingError(
-                f"task {self.task_id}: negative duration"
+                f"task {task_id}: "
+                + ("negative" if duration_s < 0 else "non-finite")
+                + " duration"
             )
+        return tuple.__new__(cls, (task_id, proc, duration_s, deps, tag,
+                                   chunk, subgraph, ops))
 
-
-_task_id = attrgetter("task_id")
-_proc = attrgetter("proc")
-_duration = attrgetter("duration_s")
-_deps = attrgetter("deps")
-_tag = attrgetter("tag")
-_ops = attrgetter("ops")
+    @classmethod
+    def _make(cls, iterable) -> "Task":
+        return cls(*iterable)
 
 
 class SchedulingPolicy:
@@ -323,6 +346,12 @@ class Simulator:
     per occurrence, as :meth:`SimContext.remaining_deps` does, so Eq. 5
     sees the same counts as the policy's own ``select``.
 
+    A lowered prefill DAG arrives with its tasks' dependents as
+    indices, which lowering caches per task block; any other task list
+    has its ids resolved once per run.  Each processor's events are appended to its
+    lane as they are dispatched, and the serial check (Eq. 4) runs over
+    the lanes, which the trace keeps.
+
     :class:`ReferenceSimulator` keeps the original per-event loop as the
     executable specification; ``benchmarks/bench_sim_speed.py`` measures
     this loop against it and ``tests/hw/test_sim_fast_path.py`` pins
@@ -352,46 +381,67 @@ class Simulator:
                     )
         return by_id
 
-    def _index(self, tasks: List[Task]
-               ) -> Tuple[List[str], List[int], List[List[int]]]:
-        """Each task's id and processor index (a repeated processor name
-        maps to its first position), and its dependents in task order,
-        once per occurrence in their ``deps``.
+    def _index(self, tasks: List[Task], ids: Sequence[str],
+               procs: Sequence[str], deps: Sequence[Tuple[str, ...]],
+               dependents: Optional[Sequence[Sequence[int]]]
+               ) -> Tuple[List[int], Sequence[Sequence[int]]]:
+        """Each task's processor index (a repeated processor name maps
+        to its first position) and its dependents: the indices of the
+        tasks that list it in their ``deps``, in task order, once per
+        occurrence.  ``dependents`` when given, else resolved from the
+        ids.
 
         Invalid tasks raise :meth:`_validate`'s first error.
         """
-        ids = list(map(_task_id, tasks))
-        index = dict(zip(ids, range(len(ids))))
         proc_index: Dict[str, int] = {}
         for k, name in enumerate(self.processor_names):
             proc_index.setdefault(name, k)
-        proc_of = list(map(proc_index.get, map(_proc, tasks)))
-        dependents: List[List[int]] = [[] for _ in ids]
+        proc_of = list(map(proc_index.get, procs))
+        if dependents is not None:
+            if len(dependents) != len(ids):
+                raise SchedulingError(
+                    f"dependents cover {len(dependents)} tasks, "
+                    f"the task list has {len(ids)}"
+                )
+            if None in proc_of:
+                self._validate(tasks)  # raises: an unknown processor
+            return proc_of, dependents
+        index = dict(zip(ids, range(len(ids))))
+        resolved: List[List[int]] = [[] for _ in ids]
         try:
             if len(index) != len(ids) or None in proc_of:
                 raise KeyError
-            for i, t in enumerate(tasks):
-                for d in t.deps:
-                    dependents[index[d]].append(i)
+            for i, task_deps in enumerate(deps):
+                for d in task_deps:
+                    resolved[index[d]].append(i)
         except KeyError:
             self._validate(tasks)
             raise
-        return ids, proc_of, dependents
+        return proc_of, resolved
 
     def run(self, tasks: List[Task],
-            policy: Optional[SchedulingPolicy] = None) -> Trace:
+            policy: Optional[SchedulingPolicy] = None,
+            dependents: Optional[Sequence[Sequence[int]]] = None) -> Trace:
         """Execute the task graph; returns the trace.
+
+        ``dependents``, each task's dependents as indices into
+        ``tasks`` (see :meth:`_index`; lowering caches them per task
+        block), spares resolving the ids; they must describe ``tasks``
+        as given.  The trace's ``lanes`` hold each processor's events in
+        start order.
 
         Raises :class:`DependencyError` for unknown/cyclic dependencies or
         tasks assigned to unknown processors.
         """
         policy = policy if policy is not None else FifoPolicy()
-        ids, proc_of, dependents = self._index(tasks)
+        n_tasks = len(tasks)
+        ids, procs, durations, deps, tags, _, _, ops = (
+            zip(*tasks) if n_tasks else ((),) * 8)
+        proc_of, dependents = self._index(tasks, ids, procs, deps,
+                                          dependents)
+        remaining = list(map(len, deps))
         order = _key_order(policy)
         names = self.processor_names
-        n_tasks = len(tasks)
-        durations = list(map(_duration, tasks))
-        remaining = list(map(len, map(_deps, tasks)))
         initial = [i for i in range(n_tasks) if not remaining[i]]
 
         heaps = ready = select = context = completed = None
@@ -429,17 +479,14 @@ class Simulator:
                 # dependents whose only unfinished dependency is the
                 # candidate; a repeat keeps its count above one.
                 npu = names.index("npu") if "npu" in names else -1
-                npu_dependents = [
-                    [d for d in deps if proc_of[d] == npu]
-                    for deps in dependents]
                 per_second = order == "normalized"
                 if per_second:
                     divisors = [max(d, 1e-9) for d in durations]
 
-        tags = list(map(_tag, tasks))
-        ops = list(map(_ops, tasks))
         trace = Trace()
         append = trace.events.append
+        lanes: List[List[TraceEvent]] = [[] for _ in names]
+        on_lane = [lane.append for lane in lanes]
         new = tuple.__new__
         heappush, heappop = heapq.heappush, heapq.heappop
         # (finish time, dispatch count, index) heap of running tasks.
@@ -481,8 +528,8 @@ class Simulator:
                         i = -1
                         for g in candidates:
                             total = 0.0
-                            for d in npu_dependents[g]:
-                                if remaining[d] == 1:
+                            for d in dependents[g]:
+                                if remaining[d] == 1 and proc_of[d] == npu:
                                     total += durations[d]
                             c = sign * total
                             if per_second:
@@ -500,8 +547,10 @@ class Simulator:
                 end = now + durations[i]
                 heappush(running, (end, n_started, i))
                 n_started += 1
-                append(new(TraceEvent,
-                           (ids[i], proc, now, end, tags[i], ops[i])))
+                event = new(TraceEvent,
+                            (ids[i], proc, now, end, tags[i], ops[i]))
+                append(event)
+                on_lane[p](event)
             if not running:
                 break
             now, _, i = heappop(running)
@@ -532,7 +581,11 @@ class Simulator:
                 f"deadlock: {len(stuck)} tasks never became ready "
                 f"(cyclic dependencies?): {stuck[:5]}"
             )
-        trace.validate_serial()
+        # A processor's events were dispatched, so appended, in start
+        # order.
+        trace.lanes = {names[p]: tuple(lane)
+                       for p, lane in enumerate(lanes) if lane}
+        check_serial(trace.lanes)
         return trace
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 
@@ -37,13 +37,33 @@ class TraceEvent(NamedTuple):
 
 
 _start = attrgetter("start_s")
+_end = attrgetter("end_s")
+
+
+def check_serial(lanes: Mapping[str, Sequence[TraceEvent]]) -> None:
+    """Check no two consecutive events of a processor's lane, its events
+    in start order, overlap (Eq. 4), processors in sorted order."""
+    for proc in sorted(lanes):
+        events = lanes[proc]
+        for a, b in zip(events, events[1:]):
+            if b.start_s < a.end_s - 1e-12:
+                raise SchedulingError(
+                    f"{proc}: tasks {a.task_id} and {b.task_id} overlap"
+                )
 
 
 @dataclass
 class Trace:
-    """A completed schedule."""
+    """A completed schedule.
+
+    ``lanes`` holds each processor's events in start order when the
+    trace's producer grouped them (:meth:`~repro.hw.sim.Simulator.run`
+    does), and is ``None`` otherwise; :meth:`add` does not maintain it.
+    """
 
     events: List[TraceEvent] = field(default_factory=list)
+    lanes: Optional[Dict[str, Tuple[TraceEvent, ...]]] = field(
+        default=None, compare=False, repr=False)
 
     def add(self, event: TraceEvent) -> None:
         if event.end_s < event.start_s:
@@ -57,7 +77,7 @@ class Trace:
         """End time of the last task (start at 0)."""
         if not self.events:
             return 0.0
-        return max(e.end_s for e in self.events)
+        return max(map(_end, self.events))
 
     def processors(self) -> List[str]:
         return sorted({e.proc for e in self.events})
@@ -126,13 +146,9 @@ class Trace:
         by_proc: Dict[str, List[TraceEvent]] = {}
         for e in self.events:
             by_proc.setdefault(e.proc, []).append(e)
-        for proc in sorted(by_proc):
-            events = sorted(by_proc[proc], key=_start)
-            for a, b in zip(events, events[1:]):
-                if b.start_s < a.end_s - 1e-12:
-                    raise SchedulingError(
-                        f"{proc}: tasks {a.task_id} and {b.task_id} overlap"
-                    )
+        for events in by_proc.values():
+            events.sort(key=_start)
+        check_serial(by_proc)
 
     def to_chrome_trace(self) -> List[dict]:
         """Export as Chrome-trace-format events (``chrome://tracing``,

@@ -65,7 +65,7 @@ class OperatorSpeedup:
     def apply(self, task: Task) -> Task:
         if not _tag_matches(task.tag, self.tag):
             return task
-        return replace(task, duration_s=task.duration_s / self.factor)
+        return task._replace(duration_s=task.duration_s / self.factor)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class ProcessorReassign:
     def apply(self, task: Task) -> Task:
         if not _tag_matches(task.tag, self.tag):
             return task
-        return replace(task, proc=self.proc,
-                       duration_s=task.duration_s * self.duration_scale)
+        return task._replace(proc=self.proc,
+                             duration_s=task.duration_s * self.duration_scale)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class DmaOverlap:
         new = self.durations.get(task.task_id)
         if new is None:
             return task
-        return replace(task, duration_s=new)
+        return task._replace(duration_s=new)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,12 @@ from repro.core.pipeline import (
     reset_prefill_memo_stats,
     run_prefill,
 )
-from repro.core.scheduler import get_policy
+from repro.core.scheduler import POLICIES, get_policy
 from repro.core.service import _prefill_chunk_costs
 from repro.graph.builder import BuildOptions, GraphBuilder
 from repro.hw import REDMI_K60_PRO, REDMI_K70_PRO
 from repro.hw.dma import DmaConfig
+from repro.hw.trace import Trace
 from repro.model import QWEN15_18B
 from repro.obs import engine_with_dma
 
@@ -177,6 +178,23 @@ class TestSharedFacts:
             assert dict(report.facts.busy_by_processor) == busy
             assert _prefill_chunk_costs(report, report.n_chunks) == costs
         assert reports[1].facts is reports[2].facts is reports[3].facts
+
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("backend", ["cpu", "gpu"])
+    def test_lane_facts_equal_a_regrouped_trace(self, policy, backend):
+        # The facts read the simulator's lanes; a trace rebuilt from the
+        # events alone regroups and sorts them.  Both must agree to the
+        # last bit, on every processor.
+        engine = LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO,
+                                    policy=policy, float_backend=backend)
+        facts = engine.prefill(700).facts
+        trace = Trace(list(facts.events))
+        assert trace.lanes is None
+        assert dict(facts.busy_by_processor) == trace.busy_by_processor()
+        for proc in ("npu", "cpu", "gpu"):
+            assert facts.bubble_rate(proc) == trace.bubble_rate(proc), proc
+        assert sorted(facts.lanes) == trace.processors()
 
 
 class TestMemoSafety:

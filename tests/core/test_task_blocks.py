@@ -9,15 +9,17 @@ span of chunks a prefill can schedule.
 
 import pytest
 
-from repro.core.dependency import build_task_graph
+from repro.core.dependency import _link_block, build_task_graph
 from repro.core.pipeline import (
     PreparedGraph,
     clear_prepared_graphs,
     lower_prefill,
 )
+from repro.errors import DependencyError
 from repro.graph.builder import GraphBuilder, ShadowProfile
 from repro.graph.chunk import ChunkSharingGraph
 from repro.hw import REDMI_K70_PRO
+from repro.hw.sim import Simulator, Task
 from repro.model import tiny_config
 
 CHUNK = 64
@@ -68,6 +70,57 @@ def test_cached_lowering_matches_fresh_plans():
                 span_plans(graph.graph, first, n), float_proc, shadow,
                 shadow_proc, blocks=blocks)
             assert got == want, (first, n, float_proc, shadow, shadow_proc)
+
+
+def id_dependents(tasks, processors):
+    """Each task's dependents as :meth:`Simulator._index` resolves them
+    from the task ids."""
+    ids, procs, _, deps = list(zip(*tasks))[:4]
+    return Simulator(processors)._index(
+        list(tasks), ids, procs, deps, None)[1]
+
+
+@pytest.mark.parametrize("longest_first", [True, False])
+def test_cached_dependents_match_the_id_mapping(longest_first):
+    # Every span, every lowering option, blocks built in either order:
+    # a block's dependents were built by the first DAG that lowered it.
+    graph = prepared()
+    blocks = graph.task_blocks()
+    spans = sorted(SPANS, key=lambda s: -s[1] if longest_first else s[1])
+    for float_proc, shadow, shadow_proc in LOWERINGS:
+        for first, n in spans:
+            procs, tasks = lower_prefill(span_plans(graph.graph, first, n),
+                                         float_proc, shadow, shadow_proc,
+                                         blocks)
+            assert ([list(d) for d in tasks.dependents]
+                    == id_dependents(tasks, procs))
+            uncached = build_task_graph(span_plans(graph.graph, first, n),
+                                        float_proc, shadow, shadow_proc)
+            assert uncached == tasks
+            assert uncached.dependents == tasks.dependents
+
+
+def test_a_repeated_dependency_counts_per_occurrence():
+    block = _link_block((Task("c0.a", "cpu", 1.0),
+                         Task("c0.b", "npu", 1.0, deps=("c0.a",) * 2),
+                         Task("c0.c", "cpu", 1.0,
+                              deps=("c0.b", "c0.a", "c0.b"))), [])
+    assert block.dependents == ((1, 1, 2), (2, 2), ())
+
+
+@pytest.mark.parametrize("tasks, error", [
+    ((Task("x", "cpu", 1.0), Task("x", "cpu", 1.0)), "duplicate task ids"),
+    ((Task("x", "cpu", 1.0, deps=("ghost",)),), "unknown dependency"),
+])
+def test_a_block_that_cannot_be_indexed_has_no_dependents(tasks, error):
+    # Checked once, when the block is lowered; a later block inherits
+    # the verdict, and the simulator's id path raises its usual error.
+    block = _link_block(tasks, [])
+    assert block.dependents is None and block.positions is None
+    later = _link_block((Task("y", "cpu", 1.0),), [block])
+    assert later.dependents is None
+    with pytest.raises(DependencyError, match=error):
+        Simulator(["cpu"]).run(list(tasks), dependents=block.dependents)
 
 
 def test_a_block_is_shared_across_spans():

@@ -85,6 +85,40 @@ class TestValidation:
         with pytest.raises(SchedulingError):
             Task("a", "cpu", -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_duration(self, bad):
+        # A NaN duration made every later start NaN and still passed the
+        # serial check, since every comparison with NaN is false.
+        with pytest.raises(SchedulingError, match="task a: "):
+            Task("a", "cpu", bad)
+        with pytest.raises(SchedulingError, match="task a: "):
+            Task("a", "cpu", duration_s=bad, deps=("b",))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_replace_and_make_check_the_duration(self, bad):
+        # What-if perturbations build tasks with _replace, which goes
+        # through _make; neither may skip the check.
+        task = Task("a", "cpu", 1.0, deps=("b",), tag="sg1")
+        with pytest.raises(SchedulingError, match="task a: "):
+            task._replace(duration_s=bad)
+        with pytest.raises(SchedulingError, match="task a: "):
+            Task._make(("a", "cpu", bad))
+        moved = task._replace(proc="gpu", duration_s=0.5)
+        assert type(moved) is Task
+        assert moved == Task("a", "gpu", 0.5, ("b",), "sg1")
+        with pytest.raises(ValueError):
+            task._replace(duration=2.0)
+
+    def test_task_is_a_tuple_of_its_fields(self):
+        import pickle
+
+        task = Task("a", "npu", 2.0, ("b",), "sg1", 3, 7, 11.0)
+        assert task == ("a", "npu", 2.0, ("b",), "sg1", 3, 7, 11.0)
+        assert Task("a", "cpu", 1.0)[3:] == ((), "", -1, -1, 0.0)
+        assert pickle.loads(pickle.dumps(task)) == task
+        assert hash(task) == hash(tuple(task))
+
     def test_no_processors(self):
         with pytest.raises(SchedulingError):
             Simulator([])

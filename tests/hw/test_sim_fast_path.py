@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import QWEN15_18B, REDMI_K70_PRO, LlmNpuEngine
-from repro.core.pipeline import lower_prefill
+from repro.core.pipeline import lower_prefill, run_prefill
 from repro.core.scheduler import (
     POLICIES,
     ChunkOrderPolicy,
@@ -33,6 +33,7 @@ from repro.hw.sim import (
     Simulator,
     Task,
 )
+from repro.obs.whatif import capture_engine_run
 
 POLICY_CLASSES = [
     FifoPolicy,
@@ -170,6 +171,13 @@ def qwen_engine():
     return LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO)
 
 
+def assert_lanes_regroup_events(trace):
+    # Each lane is its processor's events in start order, as a stable
+    # sort of the dispatch-ordered events gives them.
+    assert trace.lanes == {proc: tuple(trace.events_on(proc))
+                           for proc in trace.processors()}
+
+
 class TestRealPrefillDags:
     @pytest.mark.parametrize("shadow", [True, False],
                              ids=["shadow", "no-shadow"])
@@ -177,14 +185,73 @@ class TestRealPrefillDags:
     @pytest.mark.parametrize("n_chunks", [1, 8])
     def test_prefill_dag_matches_reference(self, qwen_engine, n_chunks,
                                            backend, shadow):
+        # The engine's path (dependents from the graph's cached blocks)
+        # and a plain-list copy of the same DAG (ids resolved per run)
+        # must both schedule exactly as the reference does.
         plans = qwen_engine.graph.plans_for_prompt(
             n_chunks * qwen_engine.config.chunk_len, 0)
         assert len(plans) == n_chunks
-        procs, tasks = lower_prefill(plans, backend, shadow, None)
+        procs, tasks = lower_prefill(plans, backend, shadow, None,
+                                     qwen_engine._prepared.task_blocks())
+        assert tasks.dependents is not None
+        plain = list(tasks)
         for name in sorted(POLICIES):
-            fast = Simulator(procs).run(tasks, get_policy(name))
-            ref = ReferenceSimulator(procs).run(tasks, get_policy(name))
+            ref = ReferenceSimulator(procs).run(plain, get_policy(name))
+            linked = Simulator(procs).run(tasks, get_policy(name),
+                                          tasks.dependents)
+            fast = Simulator(procs).run(plain, get_policy(name))
+            assert linked.events == ref.events, name
             assert fast.events == ref.events, name
+            assert_lanes_regroup_events(linked)
+            assert linked.lanes == fast.lanes
+
+    def test_captured_run_with_a_decode_tail(self, qwen_engine):
+        # capture_engine_run appends decode tasks to the lowered list,
+        # whose dependents then no longer describe it; the capture holds
+        # a plain tuple, and the simulator refuses outdated dependents.
+        n_tokens = 3 * qwen_engine.config.chunk_len
+        run = capture_engine_run(qwen_engine, n_tokens, output_tokens=4)
+        assert run.tasks[-1].task_id == "decode.t3"
+        procs = list(run.processors)
+        for name in sorted(POLICIES):
+            ref = ReferenceSimulator(procs).run(list(run.tasks),
+                                                get_policy(name))
+            fast = Simulator(procs).run(list(run.tasks), get_policy(name))
+            assert fast.events == ref.events, name
+        plans = qwen_engine.graph.plans_for_prompt(n_tokens, 0)
+        _, tasks = lower_prefill(plans, "cpu", True, None,
+                                 qwen_engine._prepared.task_blocks())
+        with pytest.raises(SchedulingError, match="dependents cover"):
+            Simulator(procs).run(list(run.tasks), FifoPolicy(),
+                                 tasks.dependents)
+
+    def test_reversed_plans_take_the_id_path(self, qwen_engine):
+        # Out of chunk order a block no longer sits right after its
+        # earlier chunks, so lowering hands over no dependents and leaves
+        # the block cache alone.
+        plans = qwen_engine.graph.plans_for_prompt(
+            4 * qwen_engine.config.chunk_len, 0)
+        blocks = qwen_engine._prepared.task_blocks()
+        cached = dict(blocks)
+        procs, tasks = lower_prefill(plans[::-1], "cpu", True, None, blocks)
+        assert tasks.dependents is None
+        assert blocks == cached
+        assert tasks[0].task_id.startswith("c3.")
+        for name in sorted(POLICIES):
+            outcomes = []
+            for sim_cls in (ReferenceSimulator, Simulator):
+                # in-order queues chunk 3 first, whose attention waits
+                # for chunks queued after it: both simulators deadlock.
+                try:
+                    outcomes.append(sim_cls(procs).run(
+                        tasks, get_policy(name)).events)
+                except DependencyError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], name
+        report = run_prefill(plans[::-1], qwen_engine.device, 100,
+                             blocks=blocks)
+        assert report.trace.events == ReferenceSimulator(procs).run(
+            tasks, get_policy("ooo")).events
 
 
 class TestFastPathGate:
