@@ -22,7 +22,7 @@ from repro.eval.simbench import (
     sim_floor_misses,
     sim_speed_report,
 )
-from repro.obs import make_artifact
+from repro.obs import make_artifact, write_text
 
 
 def test_sim_speed(benchmark):
@@ -34,9 +34,9 @@ def test_sim_speed(benchmark):
         print(table.render())
         print(f"[archived: {archive(table, filename)}]")
     artifact = make_artifact("sim_speed", [sim, quant, fleet])
-    json_path = artifact.save(
-        os.path.join(results_dir(), "json", "BENCH_sim_speed.json")
-    )
+    json_path = write_text(
+        os.path.join(results_dir(), "json", "BENCH_sim_speed.json"),
+        artifact.to_json())
     print(f"[artifact: {json_path}]")
 
     # ACCEPTANCE: the simulator loop must beat the reference by its

@@ -39,7 +39,7 @@ def show_and_archive(table, filename):
     import os
 
     from repro.eval import archive, results_dir
-    from repro.obs import make_artifact
+    from repro.obs import make_artifact, write_text
 
     print()
     print(table.render())
@@ -47,7 +47,7 @@ def show_and_archive(table, filename):
     print(f"[archived: {path}]")
     stem = os.path.splitext(os.path.basename(filename))[0]
     artifact = make_artifact(stem, table)
-    json_path = artifact.save(
-        os.path.join(results_dir(), "json", f"BENCH_{stem}.json")
-    )
+    json_path = write_text(
+        os.path.join(results_dir(), "json", f"BENCH_{stem}.json"),
+        artifact.to_json())
     print(f"[artifact: {json_path}]")

@@ -57,6 +57,7 @@ from repro.eval import (
     table5_e2e,
     table6_accuracy,
 )
+from repro.obs.export import write_text
 
 #: Experiment id -> (description, zero-arg driver returning Table(s)).
 EXPERIMENTS: Dict[str, tuple] = {
@@ -229,14 +230,9 @@ def cmd_quantize(args) -> int:
 
 def cmd_infer(args) -> int:
     from repro.core import LlmNpuEngine
-    tracer = None
-    if args.trace_out:
-        from repro.obs import Tracer
-        tracer = Tracer()
     engine = LlmNpuEngine.build(args.model, args.device,
                                 pruning_rate=args.pruning_rate,
-                                chunk_len=args.chunk_len,
-                                tracer=tracer)
+                                chunk_len=args.chunk_len)
     report = engine.infer(args.prompt_tokens, args.output_tokens)
     print(report.summary())
     if report.prefill.trace is not None:
@@ -244,13 +240,11 @@ def cmd_infer(args) -> int:
               f"NPU busy: {report.prefill.npu_busy_s:.3f}s  "
               f"float busy: {report.prefill.float_busy_s:.3f}s")
     if args.trace_out:
-        from repro.obs import save_chrome_trace
-        # merge the engine-level spans with the prefill task schedule
-        if report.prefill.trace is not None:
-            for ev in report.prefill.trace.events:
-                tracer.span(ev.task_id, proc=f"hw {engine.model.name}",
-                            thread=ev.proc, start_s=ev.start_s,
-                            end_s=ev.end_s, cat=ev.tag or "task")
+        from repro.obs import Tracer, add_trace_spans, save_chrome_trace
+        tracer = Tracer()
+        add_trace_spans(tracer,
+                        report.timeline(engine.config.decode_backend),
+                        f"hw {engine.model.name}")
         save_chrome_trace(args.trace_out, tracer)
         print(f"[trace written to {args.trace_out}]")
     if args.metrics_out:
@@ -263,7 +257,7 @@ def cmd_infer(args) -> int:
         reg.histogram("infer_decode_s").observe(report.decode_latency_s)
         reg.gauge("infer_npu_bubble_rate").set(
             report.prefill.npu_bubble_rate)
-        reg.save(args.metrics_out)
+        write_text(args.metrics_out, reg.to_json())
         print(f"[metrics written to {args.metrics_out}]")
     return 0
 
@@ -295,7 +289,7 @@ def cmd_trace(args) -> int:
                         metrics=service.metrics_registry)
         print(f"[JSONL event log: {n} records -> {args.jsonl_out}]")
     if args.metrics_out:
-        service.metrics_registry.save(args.metrics_out)
+        write_text(args.metrics_out, service.metrics_registry.to_json())
         print(f"[metrics snapshot -> {args.metrics_out}]")
     print()
     print(breakdown_table(service.requests).render())
@@ -367,30 +361,14 @@ def cmd_profile(args) -> int:
             flamegraph, key=lambda line: -int(line.rsplit(" ", 1)[1])
         )[:args.top]
     if args.profile_out:
-        report.save(args.profile_out)
+        write_text(args.profile_out, report.to_json())
         print(f"[profile report ({len(report.to_json())} bytes) -> "
               f"{args.profile_out}]")
     if args.flamegraph_out:
-        import os
-        os.makedirs(os.path.dirname(args.flamegraph_out) or ".",
-                    exist_ok=True)
-        with open(args.flamegraph_out, "w") as f:
-            f.write("\n".join(flamegraph))
-            f.write("\n")
+        write_text(args.flamegraph_out, "\n".join(flamegraph))
         print(f"[flamegraph: {len(flamegraph)} stacks -> "
               f"{args.flamegraph_out}]")
     return 0
-
-
-def _write_json(path: str, text: str) -> None:
-    import os
-
-    from repro.obs.export import open_text
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open_text(path, "w") as f:
-        f.write(text)
-        if not text.endswith("\n"):
-            f.write("\n")
 
 
 def cmd_fleet(args) -> int:
@@ -426,12 +404,12 @@ def cmd_fleet(args) -> int:
         print(table.render())
         print()
     if args.report_out:
-        _write_json(args.report_out,
-                    json.dumps(report, indent=2, sort_keys=True))
+        write_text(args.report_out,
+                   json.dumps(report, indent=2, sort_keys=True))
         print(f"[fleet report (repro.fleet/v1) -> {args.report_out}]")
     if args.alerts_out:
-        _write_json(args.alerts_out,
-                    json.dumps(report["alerts"], indent=2, sort_keys=True))
+        write_text(args.alerts_out,
+                   json.dumps(report["alerts"], indent=2, sort_keys=True))
         print(f"[incident timeline (repro.alerts/v1) -> "
               f"{args.alerts_out}]")
     return 0
@@ -467,8 +445,7 @@ def cmd_monitor(args) -> int:
     print(incident_table(
         doc, title=f"Incident timeline (seed={args.seed})").render())
     if args.alerts_out:
-        _write_json(args.alerts_out,
-                    monitor.timeline_json(indent=2))
+        write_text(args.alerts_out, monitor.timeline_json(indent=2))
         print(f"\n[incident timeline (repro.alerts/v1) -> "
               f"{args.alerts_out}]")
     return 0
@@ -480,7 +457,7 @@ def cmd_bench_compare(args) -> int:
     comparison = compare_paths(args.baseline, args.candidate,
                                rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     if args.json_out:
-        _write_json(args.json_out, benchdiff_json(comparison))
+        write_text(args.json_out, benchdiff_json(comparison))
         print(f"[delta report (repro.benchdiff/v1) -> {args.json_out}]")
     table = comparison.table()
     if not args.all_metrics:
@@ -578,7 +555,7 @@ def cmd_diff(args) -> int:
         for line in diff_narrative(doc, top=args.top):
             print(line)
     if args.out:
-        _write_json(args.out, diff_json(doc))
+        write_text(args.out, diff_json(doc))
         print(f"[diff (repro.diff/v1) -> {args.out}]")
     if doc["identical"]:
         print(f"\nOK: runs identical within {doc['tol_s']:g} s")
@@ -605,8 +582,8 @@ def cmd_explain(args) -> int:
             prefill_priority=args.prefill_priority,
         ).to_dict()
     if args.steplog_out:
-        _write_json(args.steplog_out,
-                    json.dumps(doc, indent=2, sort_keys=True))
+        write_text(args.steplog_out,
+                   json.dumps(doc, indent=2, sort_keys=True))
         print(f"[step log (repro.steps/v1) -> {args.steplog_out}]")
     if args.request_id is None:
         print(explain_table(
@@ -723,9 +700,9 @@ def cmd_critpath(args) -> int:
         doc = critpath_doc(
             paths, source=f"golden service workload seed={args.seed}"
             if not args.prompt_tokens else paths[0].source)
-        _write_json(args.critpath_out,
-                    json.dumps(doc, indent=2, sort_keys=True,
-                               allow_nan=False))
+        write_text(args.critpath_out,
+                   json.dumps(doc, indent=2, sort_keys=True,
+                              allow_nan=False))
         print(f"[critpath artifact (repro.critpath/v1) -> "
               f"{args.critpath_out}]")
     return 0

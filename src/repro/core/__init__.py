@@ -58,7 +58,6 @@ from repro.core.scheduler import (
     RequestQueue,
     StepItem,
     StepRecord,
-    assemble_step,
     get_policy,
     newly_ready_npu_time,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "ChunkContinuation",
     "StepItem",
     "StepRecord",
-    "assemble_step",
     "goodput_rps",
     "NpuResidencyPlan",
     "plan_npu_residency",

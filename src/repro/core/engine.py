@@ -88,9 +88,7 @@ class LlmNpuEngine:
 
     def __init__(self, model: ModelConfig, device: SocSpec,
                  config: Optional[EngineConfig] = None,
-                 fault_injector: Optional["FaultInjector"] = None,
-                 tracer: Optional["Tracer"] = None):
-        from repro.obs.tracer import as_tracer
+                 fault_injector: Optional["FaultInjector"] = None):
         self.model = model
         self.device = device
         self.config = config if config is not None else EngineConfig()
@@ -98,13 +96,6 @@ class LlmNpuEngine:
         #: :class:`~repro.hw.sim.FaultInjector`).  ``infer`` consults it
         #: once per execution attempt; ``None`` means fault-free.
         self.fault_injector = fault_injector
-        #: Engine-local tracer for direct (service-less) use: each
-        #: ``infer`` appends prefill/decode spans to the ``engine``
-        #: track on an internal clock that advances per call.  The
-        #: service layer does NOT set this — it owns the service clock
-        #: and emits request-scoped spans itself.
-        self.tracer = as_tracer(tracer)
-        self._trace_clock_s = 0.0
         cfg = self.config
 
         self.shadow_profiles = self._make_shadow_profiles()
@@ -152,14 +143,12 @@ class LlmNpuEngine:
         if isinstance(device, str):
             device = get_device(device)
         fault_injector = kwargs.pop("fault_injector", None)
-        tracer = kwargs.pop("tracer", None)
         config = kwargs.pop("config", None)
         if config is None:
             config = EngineConfig(**kwargs)
         elif kwargs:
             config = replace(config, **kwargs)
-        return cls(model, device, config, fault_injector=fault_injector,
-                   tracer=tracer)
+        return cls(model, device, config, fault_injector=fault_injector)
 
     def _make_shadow_profiles(self) -> Dict[int, ShadowProfile]:
         """Per-layer shadow profiles from the paper's measured statistics.
@@ -269,7 +258,7 @@ class LlmNpuEngine:
         execution attempt and may raise a typed engine error instead of
         returning a report.
         """
-        self.check_fault(now_s=self._trace_clock_s)
+        self.check_fault()
         prefill = self.prefill(prompt_tokens, cached_tokens)
         total_context = cached_tokens + prompt_tokens
         decode_s = self.decode(total_context, output_tokens)
@@ -301,25 +290,6 @@ class LlmNpuEngine:
                 ),
             },
         ).total_j
-
-        if self.tracer.enabled:
-            t0 = self._trace_clock_s
-            thread = self.model.name
-            prefill_end = t0 + prefill.latency_s
-            self.tracer.span(
-                "prefill", proc="engine", thread=thread, start_s=t0,
-                end_s=prefill_end, cat="prefill",
-                prompt_tokens=prompt_tokens, cached_tokens=cached_tokens,
-                n_chunks=prefill.n_chunks,
-                bubble_rate=prefill.npu_bubble_rate,
-            )
-            if decode_s > 0:
-                self.tracer.span(
-                    "decode", proc="engine", thread=thread,
-                    start_s=prefill_end, end_s=prefill_end + decode_s,
-                    cat="decode", output_tokens=output_tokens,
-                )
-            self._trace_clock_s = prefill_end + decode_s
 
         return InferenceReport(
             engine=self.name,

@@ -153,7 +153,8 @@ class InferenceReport:
 
         Returns a :class:`~repro.hw.trace.Trace` containing the prefill
         schedule followed by one event per decoded token on the decode
-        backend; export with ``.save_chrome_trace(path)``.
+        backend; :func:`~repro.obs.export.add_trace_spans` puts it on a
+        Perfetto timeline (``llmnpu infer --trace-out``).
         """
         timeline = Trace()
         start = 0.0

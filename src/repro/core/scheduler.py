@@ -211,10 +211,6 @@ class RequestQueue:
             return (-entry.priority, entry.arrival_s, entry.request_id)
         return (entry.arrival_s, entry.request_id)
 
-    def precedes(self, a, b) -> bool:
-        """Would ``a`` be dispatched before ``b``?"""
-        return self.key(a) < self.key(b)
-
     def push(self, entry, now_s: Optional[float] = None) -> None:
         bisect.insort(self._entries, (self.key(entry), entry))
         self._invalidate()
@@ -328,8 +324,8 @@ class StepItem(NamedTuple):
 
     ``index`` is the chunk index (prefill) or output-token index
     (decode).  ``start_s``/``end_s`` are stamped by the service when the
-    item executes; :func:`assemble_step` emits them as 0.  An immutable
-    tuple: the step loop builds one per executed item.
+    item executes.  An immutable tuple: the step loop builds one per
+    executed item.
     """
 
     request_id: int
@@ -567,17 +563,6 @@ def plan_step(inflight: List[ChunkContinuation],
     if prefill_priority >= 0.5:
         return prefill_items + decode_items
     return decode_items + prefill_items
-
-
-def assemble_step(inflight: List[ChunkContinuation],
-                  max_batch_tokens: Optional[int],
-                  prefill_priority: float,
-                  rotation: int = 0) -> List[StepItem]:
-    """:func:`plan_step`'s batch as :class:`StepItem` values (times 0)."""
-    return [StepItem(state.request_id, kind, tokens, cost_s, index)
-            for state, kind, tokens, cost_s, index
-            in plan_step(inflight, max_batch_tokens, prefill_priority,
-                         rotation)]
 
 
 #: Every scheduling policy :func:`get_policy` builds, by name.

@@ -31,6 +31,7 @@ from repro.obs.diff import (
     diff_json,
     diff_narrative,
 )
+from repro.obs.export import write_text
 from repro.obs.validate import load_doc
 from repro.obs.whatif import (
     OperatorSpeedup,
@@ -174,10 +175,7 @@ def diff_demo(
     doc = injected_slowdown_diff(model=model, device=device,
                                  prompt_len=prompt_len)
     if diff_out:
-        from repro.obs.export import open_text
-        with open_text(diff_out, "w") as fh:
-            fh.write(diff_json(doc))
-            fh.write("\n")
+        write_text(diff_out, diff_json(doc))
     tables = (
         diff_summary_table(
             doc, title=f"Run diff — baseline vs {INJECTED_TAG} slowed "

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 from repro.errors import EngineError
 from repro.eval.report import Table
 from repro.eval.service_eval import service_golden_records
+from repro.obs.export import write_text
 
 
 def service_profile_report(seed: int = 42):
@@ -111,7 +112,7 @@ def service_profile(seed: int = 42,
         energy_table(report),
     )
     if profile_out:
-        report.save(profile_out)
+        write_text(profile_out, report.to_json())
     return tables
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Union
 
 from repro.errors import ReproError
+from repro.obs.export import write_text
 
 Cell = Union[str, int, float, None]
 
@@ -115,11 +116,6 @@ class Table:
             lines.append(f"\n_{note}_")
         return "\n".join(lines)
 
-    def save(self, path: str, precision: int = 2) -> None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.render(precision) + "\n")
-
 
 def results_dir() -> str:
     """Directory where benchmark runs archive their tables."""
@@ -131,6 +127,5 @@ def results_dir() -> str:
 
 def archive(table: Table, filename: str) -> str:
     """Save a table under benchmarks/results/; returns the path."""
-    path = os.path.join(results_dir(), filename)
-    table.save(path)
-    return path
+    return write_text(os.path.join(results_dir(), filename),
+                      table.render())

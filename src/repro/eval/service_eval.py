@@ -323,7 +323,7 @@ def service_breakdown(seed: int = 42, trace_out: Optional[str] = None,
     side of ``llmnpu run service-breakdown --trace-out ...``).
     """
     from repro.obs import MetricsRegistry, Tracer, breakdown_table
-    from repro.obs import export_service_trace
+    from repro.obs import export_service_trace, write_text
     tracer = Tracer() if trace_out else None
     metrics = MetricsRegistry() if metrics_out else None
     service = service_golden_records(seed=seed, tracer=tracer,
@@ -331,7 +331,7 @@ def service_breakdown(seed: int = 42, trace_out: Optional[str] = None,
     if trace_out:
         export_service_trace(service, trace_out)
     if metrics_out:
-        service.metrics_registry.save(metrics_out)
+        write_text(metrics_out, service.metrics_registry.to_json())
     return breakdown_table(
         service.requests,
         title=f"Service latency breakdown — golden two-tier scenario "

@@ -12,6 +12,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.eval.report import results_dir
+from repro.obs.export import write_text
 
 
 def _default_experiments() -> Dict[str, Callable]:
@@ -34,7 +35,6 @@ def generate_report(
                    else _default_experiments())
     if path is None:
         path = os.path.join(results_dir(), "REPORT.md")
-    os.makedirs(os.path.dirname(path), exist_ok=True)
 
     sections: List[str] = [
         "# llm.npu reproduction — consolidated report",
@@ -56,6 +56,5 @@ def generate_report(
             sections.append("")
         sections.append(f"_regenerated in {elapsed:.1f}s_\n")
 
-    with open(path, "w") as f:
-        f.write("\n".join(sections))
-    return path
+    # the last section's trailing newline comes from the writer
+    return write_text(path, "\n".join(sections).rstrip("\n"))

@@ -32,6 +32,7 @@ from repro.obs.critical_path import (
     critpath_doc,
     request_critical_path,
 )
+from repro.obs.export import write_text
 from repro.obs.whatif import (
     ProcessorReassign,
     capture_engine_run,
@@ -129,9 +130,7 @@ def service_critpath(seed: int = 42,
         critpath_request_table(paths),
     )
     if critpath_out:
-        with open(critpath_out, "w", encoding="utf-8") as fh:
-            fh.write(golden_critpath_json(seed=seed))
-            fh.write("\n")
+        write_text(critpath_out, golden_critpath_json(seed=seed))
     return tables
 
 

@@ -128,8 +128,8 @@ class Trace:
         """Total execution time grouped by task tag.
 
         Untagged events are grouped under ``"task"`` — the same default
-        category :meth:`to_chrome_trace` exports — so tag-keyed reports
-        and trace files agree on the bucket names.
+        category :func:`~repro.obs.export.add_trace_spans` exports — so
+        tag-keyed reports and trace files agree on the bucket names.
         """
         out: Dict[str, float] = {}
         for e in self.events:
@@ -149,86 +149,3 @@ class Trace:
         for events in by_proc.values():
             events.sort(key=_start)
         check_serial(by_proc)
-
-    def to_chrome_trace(self) -> List[dict]:
-        """Export as Chrome-trace-format events (``chrome://tracing``,
-        Perfetto).  Timestamps in microseconds; one 'thread' per
-        processor.
-
-        The output is deterministic: the processor→tid mapping follows
-        sorted processor order and events are sorted by (timestamp,
-        tid, name), so two exports of equal traces are byte-identical.
-        """
-        pids = {proc: i for i, proc in enumerate(self.processors())}
-        out = []
-        for proc in self.processors():
-            out.append({
-                "name": "thread_name", "ph": "M", "pid": 0,
-                "tid": pids[proc], "args": {"name": proc},
-            })
-        body = []
-        for e in self.events:
-            record = {
-                "name": e.task_id,
-                "cat": e.tag or "task",
-                "ph": "X",
-                "pid": 0,
-                "tid": pids[e.proc],
-                "ts": e.start_s * 1e6,
-                "dur": e.duration_s * 1e6,
-            }
-            if e.ops:
-                record["args"] = {"ops": e.ops}
-            body.append(record)
-        body.sort(key=lambda ev: (ev["ts"], ev["tid"], ev["name"]))
-        return out + body
-
-    def save_chrome_trace(self, path: str) -> None:
-        """Write the Chrome-trace JSON to ``path`` (deterministic bytes:
-        stable event order, sorted keys, trailing newline)."""
-        import json
-        import os
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_chrome_trace(), f, sort_keys=True)
-            f.write("\n")
-
-    @classmethod
-    def from_chrome_trace(cls, events: List[dict]) -> "Trace":
-        """Rebuild a :class:`Trace` from Chrome-trace events.
-
-        Inverse of :meth:`to_chrome_trace` up to microsecond→second
-        float rounding; only complete ('X') events are reconstructed,
-        with processors resolved through the thread_name metadata.
-        """
-        procs: Dict[tuple, str] = {}
-        for e in events:
-            if e.get("ph") == "M" and e.get("name") == "thread_name":
-                procs[(e.get("pid", 0), e["tid"])] = e["args"]["name"]
-        trace = cls()
-        for e in events:
-            if e.get("ph") != "X":
-                continue
-            key = (e.get("pid", 0), e["tid"])
-            if key not in procs:
-                raise SchedulingError(
-                    f"event {e.get('name')!r}: no thread_name metadata "
-                    f"for pid/tid {key}"
-                )
-            tag = e.get("cat", "")
-            trace.add(TraceEvent(
-                task_id=e["name"],
-                proc=procs[key],
-                start_s=e["ts"] / 1e6,
-                end_s=(e["ts"] + e["dur"]) / 1e6,
-                tag="" if tag == "task" else tag,
-                ops=float(e.get("args", {}).get("ops", 0.0)),
-            ))
-        return trace
-
-    @classmethod
-    def load_chrome_trace(cls, path: str) -> "Trace":
-        """Load a trace previously written by :meth:`save_chrome_trace`."""
-        import json
-        with open(path) as f:
-            return cls.from_chrome_trace(json.load(f))

@@ -169,13 +169,6 @@ class BenchArtifact:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
                           allow_nan=False)
 
-    def save(self, path: str) -> str:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
-        return path
-
 
 def make_artifact(name: str, tables,
                   env: Optional[Dict[str, str]] = None) -> BenchArtifact:

@@ -1,4 +1,5 @@
-"""Trace exporters: Chrome/Perfetto timeline and JSONL event log.
+"""Trace exporters (Chrome/Perfetto timeline, JSONL event log) and the
+one text-artifact writer, :func:`write_text`.
 
 The Chrome export maps tracer tracks onto the trace format's
 process/thread axes with a **stable** pid/tid assignment: processes are
@@ -42,10 +43,10 @@ def open_text(path: str, mode: str = "r"):
     """Open a text file, transparently gzipping on a ``.gz`` suffix.
 
     1000-device fleet traces run to hundreds of megabytes uncompressed;
-    every JSONL / Chrome-trace / step-log reader and writer routes
-    through here so ``foo.jsonl.gz`` Just Works.  Writes pin the gzip
-    header (``mtime=0``, no embedded filename), so equal text always
-    compresses to equal bytes regardless of path or wall clock —
+    every artifact reader and writer routes through here (every writer
+    via :func:`write_text`) so ``foo.jsonl.gz`` Just Works.  Writes pin
+    the gzip header (``mtime=0``, no embedded filename), so equal text
+    always compresses to equal bytes regardless of path or wall clock —
     compressed goldens stay byte-diffable.
     """
     if path.endswith(".gz"):
@@ -54,6 +55,17 @@ def open_text(path: str, mode: str = "r"):
                                     encoding="utf-8")
         return gzip.open(path, "rt", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
+
+
+def write_text(path: str, text: str) -> str:
+    """Write ``text`` and a newline to ``path``, creating its directory;
+    the one text-artifact write path (gzipped on a ``.gz`` suffix, see
+    :func:`open_text`).  Returns ``path``."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open_text(path, "w") as f:
+        f.write(text)
+        f.write("\n")
+    return path
 
 
 class _DeterministicGzipWriter(gzip.GzipFile):
@@ -193,11 +205,7 @@ def step_counter_events(steps, pid: int = 1) -> List[dict]:
 
 def save_chrome_trace(path: str, tracer: Tracer) -> None:
     """Write the Chrome-trace JSON (deterministic byte output)."""
-    events = to_chrome_trace(tracer)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open_text(path, "w") as f:
-        json.dump(events, f, sort_keys=True)
-        f.write("\n")
+    write_text(path, json.dumps(to_chrome_trace(tracer), sort_keys=True))
 
 
 def validate_timeline(events: List[dict], tol: float = _OVERLAP_TOL_S) -> None:
@@ -298,34 +306,50 @@ def service_timeline(service, critpath: bool = False,
     """
     merged = Tracer()
     merged.extend(service.tracer.events)
+    decode_backend = service.config.decode_backend
     for record in service.requests:
         report = record.report
         if record.status != "completed" or report is None:
             continue
-        on_path = frozenset()
+        on_path = None
         if critpath:
             from repro.obs.critical_path import request_critical_path
-            path = request_critical_path(
-                record, decode_backend=service.config.decode_backend)
+            path = request_critical_path(record,
+                                         decode_backend=decode_backend)
             on_path = frozenset(seg.task_id for seg in path.segments)
         # The successful attempt spans [finish - e2e, finish]; everything
         # before it on this request is queueing/retry, which has no hw
         # schedule (failed attempts die inside the driver).
-        t0 = record.finish_s - report.e2e_latency_s
-        timeline = report.timeline(service.config.decode_backend)
-        proc = f"hw {record.model}"
-        for ev in timeline.events:
-            extra = ({"on_path": ev.task_id in on_path} if critpath
-                     else {})
-            if deltas is not None and ev.task_id in deltas:
-                extra["delta_ms"] = deltas[ev.task_id] * 1e3
-            merged.span(
-                ev.task_id, proc=proc, thread=ev.proc,
-                start_s=t0 + ev.start_s, end_s=t0 + ev.end_s,
-                cat=ev.tag or "task", request_id=record.request_id,
-                **extra,
-            )
+        add_trace_spans(merged, report.timeline(decode_backend),
+                        f"hw {record.model}",
+                        t0=record.finish_s - report.e2e_latency_s,
+                        on_path=on_path, deltas=deltas,
+                        request_id=record.request_id)
     return merged
+
+
+def add_trace_spans(tracer: Tracer, trace, proc: str, t0: float = 0.0,
+                    on_path: Optional[frozenset] = None,
+                    deltas: Optional[Dict[str, float]] = None,
+                    **args) -> None:
+    """Add a :class:`~repro.hw.trace.Trace`'s events to ``tracer`` as
+    spans on process ``proc``, one thread per processor, shifted by
+    ``t0`` — how an inference's hardware timeline (its prefill tasks
+    and decode steps, ``InferenceReport.timeline``) reaches Perfetto.
+
+    Untagged events get category ``"task"``.  ``args`` go on every
+    span; ``on_path`` (task ids) stamps an ``on_path`` arg on each span
+    and ``deltas`` a ``delta_ms`` arg on the spans it names.
+    """
+    for ev in trace.events:
+        extra = dict(args)
+        if on_path is not None:
+            extra["on_path"] = ev.task_id in on_path
+        if deltas is not None and ev.task_id in deltas:
+            extra["delta_ms"] = deltas[ev.task_id] * 1e3
+        tracer.span(ev.task_id, proc=proc, thread=ev.proc,
+                    start_s=t0 + ev.start_s, end_s=t0 + ev.end_s,
+                    cat=ev.tag or "task", **extra)
 
 
 def export_service_trace(service, path: str,
@@ -348,10 +372,7 @@ def export_service_trace(service, path: str,
                              steps=service.steps if counters else None)
     if validate:
         validate_timeline(events)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open_text(path, "w") as f:
-        json.dump(events, f, sort_keys=True)
-        f.write("\n")
+    write_text(path, json.dumps(events, sort_keys=True))
     return events
 
 
@@ -373,11 +394,8 @@ def write_jsonl(path: str, tracer: Optional[Tracer] = None,
                 metrics: Optional[MetricsRegistry] = None) -> int:
     """Write one JSON object per line; returns the record count."""
     records = jsonl_records(tracer, metrics)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open_text(path, "w") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True))
-            f.write("\n")
+    write_text(path, "\n".join(json.dumps(record, sort_keys=True)
+                               for record in records))
     return len(records)
 
 

@@ -190,6 +190,19 @@ def validate_metric_record(record, where: str = "metric") -> None:
             MetricsError)
 
 
+def validate_metrics_snapshot(records) -> None:
+    """Check a saved metrics snapshot (a JSON array of
+    :meth:`MetricsRegistry.snapshot` records), each record per
+    :func:`validate_metric_record`.  Raises :class:`MetricsError`."""
+    if not records:
+        raise MetricsError("no metric records")
+    for i, record in enumerate(records):
+        where = f"metric {i}"
+        if not isinstance(record, dict) or record.get("type") != "metric":
+            raise MetricsError(f"{where}: not a metric record")
+        validate_metric_record(record, where)
+
+
 class MetricsRegistry:
     """Get-or-create instrument store keyed by name + labels."""
 
@@ -268,13 +281,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def save(self, path: str) -> None:
-        import os
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -40,7 +40,6 @@ fully deterministic bytes — no timestamps, no environment capture — so
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -363,14 +362,6 @@ class ProfileReport:
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
                           allow_nan=False)
-
-    def save(self, path: str) -> None:
-        """Write deterministic JSON bytes (sorted keys, trailing
-        newline) — byte-diffable across runs."""
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
 
     def summary_table(self):
         """Per-processor attribution as a render-ready

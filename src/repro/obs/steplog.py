@@ -27,7 +27,6 @@ byte-identical (``scripts/check_determinism.sh`` enforces this).
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import ReproError
@@ -243,15 +242,6 @@ class StepLogger:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def save(self, path: str) -> str:
-        """Write the log (gzipped on a ``.gz`` suffix)."""
-        from repro.obs.export import open_text
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open_text(path, "w") as f:
-            f.write(self.to_json())
-            f.write("\n")
-        return path
 
 
 _STEP = {"index": object, "start_s": float, "end_s": float,

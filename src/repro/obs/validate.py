@@ -6,7 +6,9 @@ JSON and no writer emits them — and validated by the owning module's
 validator, picked by what the file holds:
 
 * an object with a ``"schema"`` key: that schema's validator;
-* a JSON array: a Chrome trace (:func:`~repro.obs.export
+* a JSON array of metric records: a metrics snapshot
+  (:func:`~repro.obs.metrics.validate_metrics_snapshot`);
+* any other JSON array: a Chrome trace (:func:`~repro.obs.export
   .validate_chrome_trace`);
 * anything else: a JSONL event log, one record per line
   (:func:`~repro.obs.export.validate_jsonl_records`).
@@ -34,6 +36,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     validate_jsonl_records,
 )
+from repro.obs.metrics import validate_metrics_snapshot
 from repro.obs.monitor import (
     MonitorError,
     validate_fleet_doc,
@@ -85,6 +88,12 @@ def _loads(text: str):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def _is_snapshot(doc: list) -> bool:
+    """A JSON array that opens with a metric record: a metrics snapshot."""
+    return (bool(doc) and isinstance(doc[0], dict)
+            and doc[0].get("type") == "metric")
+
+
 def load_doc(path: str, schema: Optional[str] = None):
     """Read, parse and validate one artifact file; returns the document
     (a dict, or a list of Chrome events or JSONL records).
@@ -117,6 +126,8 @@ def load_doc(path: str, schema: Optional[str] = None):
                     f"unknown schema {found!r} (expected one of "
                     f"{sorted(VALIDATORS)})")
             VALIDATORS[found][0](doc)
+        elif isinstance(doc, list) and _is_snapshot(doc):
+            validate_metrics_snapshot(doc)
         elif isinstance(doc, list):
             validate_chrome_trace(doc)
         else:
@@ -141,6 +152,8 @@ def describe(doc) -> str:
         return f"{doc['schema']} ({SCHEMA_TABLE[doc['schema']]})"
     if "ph" in doc[0]:
         return f"Chrome trace, {len(doc)} events"
+    if _is_snapshot(doc):
+        return f"metrics snapshot, {len(doc)} instruments"
     return f"JSONL event log, {len(doc)} records"
 
 

@@ -133,8 +133,11 @@ class TestTimelineAndProfiling:
     def test_timeline_exports_to_chrome(self, engine, tmp_path):
         import json
         import os
+        from repro.obs import Tracer, add_trace_spans, save_chrome_trace
         path = os.path.join(tmp_path, "timeline.json")
-        engine.infer(256, 2).timeline().save_chrome_trace(path)
+        tracer = Tracer()
+        add_trace_spans(tracer, engine.infer(256, 2).timeline(), "hw")
+        save_chrome_trace(path, tracer)
         with open(path) as f:
             events = json.load(f)
         assert any(e.get("cat") == "decode" for e in events)

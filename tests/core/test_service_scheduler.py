@@ -248,7 +248,7 @@ class TestRequestQueue:
         b = self.Entry(1, priority=10, arrival_s=1.0)
         q.push(a)
         q.push(b)
-        assert q.precedes(b, a)
+        assert q.key(b) < q.key(a)
         assert q.pop() is b
 
     def test_unknown_mode_rejected(self):
@@ -280,7 +280,7 @@ class TestRequestQueue:
             assert q.tier_depths() == tuple(sorted(depths.items()))
             for e in want:
                 assert list(q.ahead_of(e)) == [
-                    o for o in want if q.precedes(o, e)]
+                    o for o in want if q.key(o) < q.key(e)]
             if want:
                 assert q.peek() is want[0]
             assert len(q) == len(want) and bool(q) == bool(want)

@@ -33,8 +33,8 @@ from repro.core import (  # noqa: E402
     StepItem,
     StepRecord,
     TierPolicy,
-    assemble_step,
 )
+from repro.core.scheduler import plan_step  # noqa: E402
 from repro.eval import service_golden_records  # noqa: E402
 from repro.graph import chunk_token_lengths  # noqa: E402
 from repro.obs import SloMonitor, SloSpec, StepLogger  # noqa: E402
@@ -170,7 +170,8 @@ class TestStepInvariants:
 
 
 class TestAssembleStepUnit:
-    """Direct unit coverage of the pure batch-assembly function."""
+    """Direct unit coverage of the pure batch-assembly function,
+    :func:`~repro.core.scheduler.plan_step`."""
 
     @staticmethod
     def make_state(rid, chunk_lens, priority=0, arrival=0.0,
@@ -185,22 +186,29 @@ class TestAssembleStepUnit:
             kv_reserved_bytes=0,
         )
 
+    @staticmethod
+    def plan(states, budget, priority, rotation=0):
+        """The planned batch as ``(request_id, kind, tokens, index)``."""
+        return [(s.request_id, kind, tokens, index)
+                for s, kind, tokens, _cost, index
+                in plan_step(states, budget, priority, rotation)]
+
     def test_progress_guarantee_with_nonzero_knob(self):
         decoding = self.make_state(0, [8])
         decoding.cursor = 1  # prefill done, decoding
         waiting = self.make_state(1, [64, 64])
-        items = assemble_step([decoding, waiting], 128, 0.1)
+        items = self.plan([decoding, waiting], 128, 0.1)
         # budget*0.1 < one chunk, but the guarantee admits one anyway
-        assert [(i.request_id, i.kind) for i in items] \
+        assert [(rid, kind) for rid, kind, _, _ in items] \
             == [(0, "decode"), (1, "prefill")]
-        assert sum(i.tokens for i in items) <= 128
+        assert sum(tokens for _, _, tokens, _ in items) <= 128
 
     def test_zero_knob_starves_prefill_behind_decoders(self):
         decoding = self.make_state(0, [8])
         decoding.cursor = 1
         waiting = self.make_state(1, [64])
-        items = assemble_step([decoding, waiting], 128, 0.0)
-        assert all(i.kind == "decode" for i in items)
+        items = self.plan([decoding, waiting], 128, 0.0)
+        assert all(kind == "decode" for _, kind, _, _ in items)
 
     def test_decode_window_rotation_under_tiny_budget(self):
         states = []
@@ -210,17 +218,17 @@ class TestAssembleStepUnit:
             states.append(s)
         seen = set()
         for rotation in range(4):
-            items = assemble_step(states, 2, 0.5, rotation=rotation)
+            items = self.plan(states, 2, 0.5, rotation=rotation)
             assert len(items) == 2
-            seen.update(i.request_id for i in items)
+            seen.update(rid for rid, _, _, _ in items)
         assert seen == {0, 1, 2, 3}  # every decoder eventually advances
 
     def test_head_of_line_blocks_later_prefills(self):
         first = self.make_state(0, [64, 64], arrival=0.0)
         second = self.make_state(1, [32], arrival=1.0)
-        items = assemble_step([first, second], 96, 1.0)
+        items = self.plan([first, second], 96, 1.0)
         # first's second chunk does not fit; second must not jump it
-        assert [(i.request_id, i.index) for i in items] == [(0, 0)]
+        assert [(rid, index) for rid, _, _, index in items] == [(0, 0)]
 
 
 class TestSequentialEquivalence:

@@ -71,7 +71,8 @@ class TestTable:
         assert "| name | speed |" in md
 
     def test_save(self, tmp_path):
+        from repro.obs import write_text
         path = os.path.join(tmp_path, "sub", "t.txt")
-        self.make().save(path)
+        write_text(path, self.make().render())
         with open(path) as f:
             assert "Demo" in f.read()

@@ -105,12 +105,11 @@ class TestProfileCommand:
 class TestBenchCompareCommand:
     def _artifact(self, tmp_path, name, e2e):
         from repro.eval.report import Table
-        from repro.obs import make_artifact
+        from repro.obs import make_artifact, write_text
         table = Table(title="t", columns=["config", "e2e s"])
         table.add_row("baseline", e2e)
-        return make_artifact("t", table, env={}).save(
-            str(tmp_path / f"BENCH_{name}.json")
-        )
+        return write_text(str(tmp_path / f"BENCH_{name}.json"),
+                          make_artifact("t", table, env={}).to_json())
 
     def test_identical_artifacts_pass(self, tmp_path, capsys):
         base = self._artifact(tmp_path, "a", 2.0)
@@ -324,3 +323,61 @@ class TestExplainCommand:
         # the written file feeds back through --steplog
         assert main(["explain", "7", "--steplog", str(path)]) == 0
         assert "request 00007" in capsys.readouterr().out
+
+
+class TestGzipOutputs:
+    """A ``.gz`` output path gets real gzip that ``llmnpu validate``
+    reads back, whichever command and flag wrote it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--prompt-tokens", "256", "--output-tokens", "2",
+         "--metrics-out"],
+        ["trace", "--trace-out", "trace.json", "--metrics-out"],
+        ["profile", "--profile-out"],
+        ["run", "critpath", "--critpath-out"],
+        ["run", "service-breakdown", "--metrics-out"],
+    ], ids=["infer-metrics", "trace-metrics", "profile", "run-critpath",
+            "run-service-breakdown-metrics"])
+    def test_gz_output_is_gzip_and_validates(self, argv, tmp_path,
+                                             monkeypatch, capsys):
+        import gzip
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "out.json.gz"
+        assert main(argv + [str(path)]) == 0
+        with gzip.open(path, "rt", encoding="utf-8") as f:
+            assert f.read().endswith("\n")
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 0, capsys.readouterr().err
+
+
+class TestInferTraceOut:
+    """``infer --trace-out`` writes the inference's hardware timeline:
+    one ``hw <model>`` span per prefill task and per decode step."""
+
+    @pytest.mark.parametrize("name", ["infer.json", "infer.json.gz"])
+    def test_trace_holds_prefill_tasks_and_decode_steps(self, name,
+                                                        tmp_path, capsys):
+        import json
+        from collections import Counter
+
+        from repro.core import LlmNpuEngine
+        from repro.obs import open_text, validate_timeline
+        path = str(tmp_path / name)
+        assert main(["infer", "--prompt-tokens", "256",
+                     "--output-tokens", "3", "--trace-out", path]) == 0
+        assert main(["validate", path]) == 0, capsys.readouterr().err
+        with open_text(path) as f:
+            events = json.load(f)
+        validate_timeline(events)
+
+        args = build_parser().parse_args(["infer"])
+        report = LlmNpuEngine.build(
+            args.model, args.device, pruning_rate=args.pruning_rate,
+            chunk_len=args.chunk_len).infer(256, 3)
+        procs = {e["pid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "process_name"}
+        spans = [e for e in events if e["ph"] == "X"]
+        assert {procs[e["pid"]] for e in spans} == {f"hw {args.model}"}
+        assert Counter(e["name"] for e in spans) == Counter(
+            [ev.task_id for ev in report.prefill.trace.events]
+            + ["decode.t0", "decode.t1", "decode.t2"])

@@ -22,6 +22,7 @@ from repro.obs import (
     make_artifact,
     metric_direction,
     metrics_from_table,
+    write_text,
 )
 
 
@@ -91,7 +92,8 @@ class TestArtifactIO:
     def test_round_trip(self, tmp_path):
         artifact = make_artifact("smoke", latency_table(),
                                  env={"git_sha": "abc"})
-        path = artifact.save(str(tmp_path / "BENCH_smoke.json"))
+        path = write_text(str(tmp_path / "BENCH_smoke.json"),
+                          artifact.to_json())
         loaded = load_artifact(path)
         assert loaded.name == "smoke"
         assert loaded.metrics == artifact.metrics
@@ -142,7 +144,8 @@ class TestBenchCompareHostileCandidates:
 
     def _paths(self, tmp_path):
         artifact = make_artifact("run", latency_table(), env={})
-        return artifact, artifact.save(str(tmp_path / "BENCH_run.json"))
+        return artifact, write_text(str(tmp_path / "BENCH_run.json"),
+                                   artifact.to_json())
 
     def test_nan_metric_value_is_a_usage_error(self, tmp_path, capsys):
         from repro.cli import main
@@ -250,7 +253,8 @@ class TestCompare:
 class TestComparePaths:
     def write(self, directory, name, **kwargs):
         artifact = make_artifact(name, latency_table(**kwargs), env={})
-        return artifact.save(str(directory / f"BENCH_{name}.json"))
+        return write_text(str(directory / f"BENCH_{name}.json"),
+                          artifact.to_json())
 
     def test_file_mode(self, tmp_path):
         base = self.write(tmp_path, "a")

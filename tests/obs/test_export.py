@@ -18,6 +18,7 @@ from repro.obs import (
     to_chrome_trace,
     validate_timeline,
     write_jsonl,
+    write_text,
 )
 
 
@@ -286,8 +287,8 @@ class TestGzipTransparency:
         steplog = golden_steplog(seed=42, batched=True)
         plain = tmp_path / "steps.json"
         packed = tmp_path / "steps.json.gz"
-        steplog.save(str(plain))
-        steplog.save(str(packed))
+        write_text(str(plain), steplog.to_json())
+        write_text(str(packed), steplog.to_json())
         assert load_doc(str(packed)) == load_doc(str(plain))
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import MetricsError, MetricsRegistry, as_registry
+from repro.obs import MetricsError, MetricsRegistry, as_registry, write_text
 
 
 class TestInstruments:
@@ -181,7 +181,7 @@ class TestReadOnlyAndExport:
         reg.counter("requests", tier="x").inc(5)
         reg.histogram("lat").observe(0.5)
         path = str(tmp_path / "m" / "metrics.json")
-        reg.save(path)
+        write_text(path, reg.to_json())
         data = json.loads(open(path).read())
         by_name = {d["name"]: d for d in data}
         assert by_name["requests"]["value"] == 5.0

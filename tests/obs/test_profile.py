@@ -26,6 +26,7 @@ from repro.obs import (
     profile_inference,
     profile_trace,
     validate_profile,
+    write_text,
 )
 
 
@@ -189,13 +190,6 @@ class TestFlamegraph:
         assert flamegraph_lines(t) == ["cpu;c0;l0 3000000000"]
 
 
-class TestChromeOpsRoundTrip:
-    def test_ops_survive_export_import(self):
-        trace = two_proc_trace()
-        restored = Trace.from_chrome_trace(trace.to_chrome_trace())
-        assert restored.ops_by_processor() == trace.ops_by_processor()
-
-
 class TestEnergyAttribution:
     def test_absent_processors_draw_pure_idle(self):
         device = get_device("Redmi K70 Pro")
@@ -300,7 +294,7 @@ class TestProfileInference:
         doc = json.loads(report.to_json())
         assert doc["schema"] == "repro.profile/v1"
         path = str(tmp_path / "profile.json")
-        report.save(path)
+        write_text(path, report.to_json())
         assert main(["validate", path]) == 0, capsys.readouterr().err
 
     def test_schema_checker_rejects_broken_conservation(self,

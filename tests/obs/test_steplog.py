@@ -22,6 +22,7 @@ from repro.obs import (
     load_doc,
     occupancy_summary,
     validate_steps_doc,
+    write_text,
 )
 from repro.obs.schemas import STEPS_SCHEMA
 
@@ -100,7 +101,7 @@ class TestGoldenStepLog:
 
     def test_save_load_roundtrip(self, tmp_path, batched_doc):
         logger = golden_steplog(seed=42, batched=True)
-        path = logger.save(str(tmp_path / "steps.json"))
+        path = write_text(str(tmp_path / "steps.json"), logger.to_json())
         assert load_doc(path, STEPS_SCHEMA) == logger.to_dict()
 
     def test_json_export_is_deterministic(self):
@@ -241,7 +242,7 @@ class TestDerivedDetectors:
 class TestSchemaCheckerAcceptsStepLog:
     def test_cli_schema_checker(self, tmp_path, capsys):
         from repro.cli import main
-        path = golden_steplog(seed=42, batched=True).save(
-            str(tmp_path / "steps.json"))
+        path = write_text(str(tmp_path / "steps.json"),
+                          golden_steplog(seed=42, batched=True).to_json())
         assert main(["validate", path]) == 0, capsys.readouterr().err
         assert STEPS_SCHEMA in capsys.readouterr().out

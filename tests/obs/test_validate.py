@@ -4,8 +4,8 @@ typed ``ReproError`` from its validator and ``llmnpu validate`` exit 2.
 Each case starts from a valid generated artifact and breaks it by
 truncating its ``.gz``, replacing or deleting its ``schema``, putting
 NaN/inf in a validated number, deleting a required key, or emptying
-it.  JSONL logs and Chrome traces have no ``schema`` key; their record
-``type`` / event ``ph`` plays that role.
+it.  JSONL logs, metrics snapshots and Chrome traces have no ``schema``
+key; their record ``type`` / event ``ph`` plays that role.
 """
 
 import copy
@@ -34,6 +34,7 @@ from repro.obs import (  # noqa: E402
     validate_chrome_trace,
     validate_jsonl_records,
 )
+from repro.obs.metrics import validate_metrics_snapshot  # noqa: E402
 from repro.obs.validate import VALIDATORS  # noqa: E402
 
 
@@ -69,6 +70,7 @@ def _artifacts():
         "critpath": critpath,
         "diff": injected_slowdown_diff(),
         "jsonl": jsonl_records(service.tracer, service.metrics_registry),
+        "metrics": service.metrics_registry.snapshot(),
         "chrome": to_chrome_trace(service_timeline(service)),
     }
 
@@ -153,6 +155,13 @@ _PATHS = {
                     ({"kind": "counter"}, "value"),
                     ({"kind": "histogram"}, "mean")],
     },
+    "metrics": {
+        "required": [({"kind": "counter"}, "value"),
+                     ({"kind": "counter"}, "labels"),
+                     ({"kind": "histogram"}, "count")],
+        "numeric": [({"kind": "counter"}, "value"),
+                    ({"kind": "histogram"}, "mean")],
+    },
     "chrome": {
         "required": [({"ph": "X"}, "dur"), ({"ph": "X"}, "pid"),
                      ({"ph": "M"}, "args"), ({"ph": "i"}, "ts")],
@@ -163,6 +172,7 @@ _PATHS = {
 
 #: The field that names a document's format, per format.
 _TYPE_FIELD = {"jsonl": ({"type": "span"}, "type"),
+               "metrics": ({"type": "metric"}, "type"),
                "chrome": ({"ph": "X"}, "ph")}
 
 FORMATS = sorted(_PATHS)
@@ -199,6 +209,8 @@ def _set(doc, path, value=None, delete=False):
 def _validate(fmt, doc):
     if fmt == "jsonl":
         validate_jsonl_records(doc)
+    elif fmt == "metrics":
+        validate_metrics_snapshot(doc)
     elif fmt == "chrome":
         validate_chrome_trace(doc)
     else:
