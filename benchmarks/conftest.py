@@ -35,11 +35,21 @@ def show_and_archive(table, filename):
     machine-readable twin — ``results/json/BENCH_<stem>.json`` (schema
     ``repro.bench/v1``) with the table's numeric cells as directional
     metrics — which ``llmnpu bench-compare`` gates CI on.
+
+    A table without numeric cells (the calibration dashboard's are
+    formatted strings) has no twin: ``repro.bench/v1`` requires at
+    least one metric.  The twin is rewritten only when its name or
+    metrics change.  Its ``env`` (git sha, Python version) is provenance
+    that no gate reads, so an existing file keeps the one of the commit
+    that last moved its numbers, and regenerating an unchanged table
+    leaves its golden byte-identical: ``git status`` then shows only
+    real changes.
     """
     import os
 
+    from repro.errors import ReproError
     from repro.eval import archive, results_dir
-    from repro.obs import make_artifact, write_text
+    from repro.obs import load_artifact, make_artifact, write_text
 
     print()
     print(table.render())
@@ -47,7 +57,14 @@ def show_and_archive(table, filename):
     print(f"[archived: {path}]")
     stem = os.path.splitext(os.path.basename(filename))[0]
     artifact = make_artifact(stem, table)
-    json_path = write_text(
-        os.path.join(results_dir(), "json", f"BENCH_{stem}.json"),
-        artifact.to_json())
+    if not artifact.metrics:
+        return
+    json_path = os.path.join(results_dir(), "json", f"BENCH_{stem}.json")
+    try:
+        old = load_artifact(json_path)
+    except (OSError, ReproError):
+        old = None
+    if (old is None or old.name != artifact.name
+            or old.metrics != artifact.metrics):
+        write_text(json_path, artifact.to_json())
     print(f"[artifact: {json_path}]")

@@ -16,11 +16,13 @@ task that merges the two results before the next subgraph may start.
 
 from __future__ import annotations
 
+from math import inf
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import DependencyError
 from repro.graph.builder import ChunkPlan
-from repro.graph.ops import SG_ATTN, SG_QKV, SUBGRAPHS_PER_BLOCK
+from repro.graph.ops import Backend, SG_ATTN, SG_QKV, SUBGRAPHS_PER_BLOCK
 from repro.hw.sim import Task
 
 
@@ -36,6 +38,9 @@ def shadow_id(chunk: int, layer: int, position: int) -> str:
 def sync_id(chunk: int, layer: int, position: int) -> str:
     return f"c{chunk}.l{layer}.sg{position}.sync"
 
+
+#: Each subgraph position as the last part of its task id.
+_POSITIONS = tuple(map(str, range(SUBGRAPHS_PER_BLOCK)))
 
 #: Task tag by subgraph position and backend, ``_TAGS[pos][is_npu]``:
 #: every task of a position shares one string.
@@ -178,36 +183,49 @@ def _link_block(block: Tuple[Task, ...],
 def _lower_chunk(plan: ChunkPlan, earlier: Tuple[int, ...], float_proc: str,
                  include_shadow: bool, shadow_proc: str) -> Tuple[Task, ...]:
     """The tasks of one chunk, whose attention also reads the QKV of the
-    ``earlier`` scheduled chunks."""
+    ``earlier`` scheduled chunks.
+
+    Ids are built from per-chunk and per-layer prefixes, and are the
+    strings :func:`task_id`, :func:`shadow_id` and :func:`sync_id` give.
+    Tasks are built as plain tuples, and each distinct duration is then
+    checked once, as :class:`Task` would check it.
+    """
     chunk = plan.chunk_index
+    shadows = plan.shadows if include_shadow else {}
+    new = tuple.__new__
     tasks: List[Task] = []
+    append = tasks.append
     gate: Tuple[str, ...] = ()  # deps for the next subgraph
+    layer, stem, cross = None, "", ()
     for subgraph in plan.subgraphs:
-        layer, pos = subgraph.layer, subgraph.position
-        deps = gate
-        if pos == SG_ATTN:
+        pos = subgraph.position
+        if subgraph.layer != layer:
+            layer = subgraph.layer
+            at = f"l{layer}.sg"
+            stem = f"c{chunk}." + at
             # Eq. 2: attention needs the QKV of every earlier chunk at
             # this layer (its own chunk's QKV is the intra-chunk dep).
             # Chunks cached from earlier turns have their KV already.
-            deps += tuple(task_id(c, layer, SG_QKV) for c in earlier)
-        tid = task_id(chunk, layer, pos)
-        is_npu = subgraph.is_npu
+            cross = tuple(f"c{c}." + at + _POSITIONS[SG_QKV]
+                          for c in earlier)
+        deps = gate + cross if pos == SG_ATTN else gate
+        tid = stem + _POSITIONS[pos]
+        is_npu = subgraph.backend is Backend.NPU
         index = layer * 6 + pos
         # Task(task_id, proc, duration_s, deps, tag, chunk, subgraph, ops)
-        tasks.append(Task(
+        append(new(Task, (
             tid, "npu" if is_npu else float_proc, subgraph.latency_s,
             deps, _TAGS[pos][is_npu], chunk, index, subgraph.matmul_ops,
-        ))
+        )))
         gate = (tid,)
-        shadow_spec = plan.shadows.get((layer, pos))
-        if (include_shadow and is_npu and shadow_spec is not None
-                and shadow_spec.enabled):
-            sid = shadow_id(chunk, layer, pos)
-            tasks.append(Task(
+        shadow_spec = shadows.get((layer, pos)) if is_npu else None
+        if shadow_spec is not None and shadow_spec.enabled:
+            sid = tid + ".shadow"
+            append(new(Task, (
                 sid, shadow_proc, shadow_spec.matmul_s + shadow_spec.disk_s,
                 deps,  # same inputs as NPU half
                 "shadow", chunk, index, shadow_spec.matmul_ops,
-            ))
+            )))
             # The merge synchronization stalls the NPU queue itself:
             # cache maintenance + driver fence + graph re-arm happen on
             # the accelerator side, so sync occupies the NPU (this is
@@ -215,10 +233,14 @@ def _lower_chunk(plan: ChunkPlan, earlier: Tuple[int, ...], float_proc: str,
             # paper measures it at 29.7% of end-to-end latency when no
             # layer is pruned).  sync_s is ~0 when float work shares
             # the NPU.
-            yid = sync_id(chunk, layer, pos)
-            tasks.append(Task(yid, "npu", shadow_spec.sync_s, (tid, sid),
-                              "sync", chunk, index))
+            yid = tid + ".sync"
+            append(new(Task, (yid, "npu", shadow_spec.sync_s, (tid, sid),
+                              "sync", chunk, index, 0.0)))
             gate = (yid,)
+    for duration in set(map(itemgetter(2), tasks)):
+        if not 0.0 <= duration < inf:
+            for task in tasks:
+                Task._make(task)  # raises Task's error for the first
     return tuple(tasks)
 
 

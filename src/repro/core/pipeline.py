@@ -34,6 +34,7 @@ from repro.hw.sim import SchedulingPolicy, Simulator
 from repro.hw.soc import SocSpec
 from repro.hw.trace import Trace
 from repro.core.results import PrefillFacts, PrefillReport
+from repro.keys import content_key
 from repro.model.config import ModelConfig
 
 #: Prepared graphs kept alive at once.  The least recently used one is
@@ -225,33 +226,6 @@ class PreparedGraph:
 _PREPARED: "OrderedDict[Hashable, PreparedGraph]" = OrderedDict()
 
 
-def _content_key(obj) -> Hashable:
-    """A hashable key that is equal for objects with equal contents.
-
-    Specs such as :class:`~repro.hw.soc.SocSpec` hold dicts, so they
-    are unhashable and cannot key a cache by themselves; identity would
-    miss equal specs built separately.  A hashable value keys as itself
-    with its type (so ``1`` and ``1.0`` key differently); unhashable
-    dataclasses, dicts and sequences are unfolded recursively.
-    """
-    try:
-        hash(obj)
-    except TypeError:
-        pass
-    else:
-        return (type(obj).__qualname__, obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (type(obj).__qualname__,) + tuple(
-            _content_key(getattr(obj, f.name))
-            for f in dataclasses.fields(obj))
-    if isinstance(obj, dict):
-        return ("dict", frozenset((_content_key(k), _content_key(v))
-                                  for k, v in obj.items()))
-    if isinstance(obj, (list, tuple)):
-        return (type(obj).__name__,) + tuple(_content_key(v) for v in obj)
-    raise TypeError(f"cannot key on a {type(obj).__qualname__}")
-
-
 def prepare_graph(model: ModelConfig, device: SocSpec,
                   options: BuildOptions, chunk_len: int, max_chunks: int,
                   shadow_profiles: Optional[Dict] = None) -> PreparedGraph:
@@ -263,7 +237,7 @@ def prepare_graph(model: ModelConfig, device: SocSpec,
     used.
     """
     max_chunks = min(max_chunks, max(1, model.max_context // chunk_len))
-    key = _content_key((model, device, options, chunk_len, max_chunks,
+    key = content_key((model, device, options, chunk_len, max_chunks,
                        shadow_profiles))
     prepared = _PREPARED.get(key)
     if prepared is not None:

@@ -21,9 +21,15 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple, Type
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
 
-from repro.hw.sim import FifoPolicy, SchedulingPolicy, SimContext, Task
+from repro.hw.sim import (
+    FifoPolicy,
+    SchedulingPolicy,
+    SimContext,
+    Task,
+    TaskColumns,
+)
 
 
 def newly_ready_npu_time(task: Task, context: SimContext) -> float:
@@ -107,6 +113,10 @@ class LatencyGreedyPolicy(SchedulingPolicy):
     def key(self, task: Task, index: int) -> Tuple[float, int]:
         return (task.duration_s, index)
 
+    def key_column(self, tasks: Sequence[Task],
+                   columns: TaskColumns) -> List[Tuple[float, int]]:
+        return list(zip(columns.duration_s, range(len(tasks))))
+
 
 class ChunkOrderPolicy(SchedulingPolicy):
     """Lowest (chunk, subgraph) first among *ready* tasks — an
@@ -117,6 +127,10 @@ class ChunkOrderPolicy(SchedulingPolicy):
 
     def key(self, task: Task, index: int) -> Tuple[int, int, int]:
         return (task.chunk, task.subgraph, index)
+
+    def key_column(self, tasks: Sequence[Task],
+                   columns: TaskColumns) -> List[Tuple[int, int, int]]:
+        return list(zip(columns.chunk, columns.subgraph, range(len(tasks))))
 
 
 class HeadOfLinePolicy(SchedulingPolicy):
@@ -141,6 +155,10 @@ class HeadOfLinePolicy(SchedulingPolicy):
 
     def key(self, task: Task, index: int) -> int:
         return index
+
+    def key_column(self, tasks: Sequence[Task],
+                   columns: TaskColumns) -> Sequence[int]:
+        return range(len(tasks))
 
     def select(self, proc: str, ready: List[Task],
                context: SimContext):

@@ -10,12 +10,11 @@ check.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import EngineError
 from repro.eval.report import Table
 from repro.eval.service_eval import service_golden_records
-from repro.obs.export import write_text
 
 
 def service_profile_report(seed: int = 42):
@@ -97,10 +96,10 @@ def energy_table(report, title: str = "Energy attribution") -> Table:
     return table
 
 
-def service_profile(seed: int = 42,
-                    profile_out: Optional[str] = None) -> Tuple[Table, ...]:
+def service_profile(seed: int = 42) -> Tuple[Table, ...]:
     """The ``service-profile`` experiment: attribution tables over the
-    golden workload (optionally writing the full JSON report)."""
+    golden workload (``llmnpu profile --profile-out`` writes the full
+    JSON report)."""
     report, service = service_profile_report(seed=seed)
     n_done = sum(1 for r in service.requests if r.status == "completed")
     summary = report.summary_table()
@@ -111,8 +110,6 @@ def service_profile(seed: int = 42,
         operator_table(report),
         energy_table(report),
     )
-    if profile_out:
-        write_text(profile_out, report.to_json())
     return tables
 
 

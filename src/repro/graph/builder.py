@@ -40,6 +40,7 @@ from repro.graph.ops import (
     SG_WO,
     ShadowSpec,
     SubgraphSpec,
+    at_layer,
 )
 from repro.graph.shapes import equivalent_shape_gain
 from repro.model.config import ModelConfig
@@ -341,29 +342,38 @@ class GraphBuilder:
         rows = chunk_len
         kv_len = (chunk_index + 1) * chunk_len
         cfg = self.config
-        subgraphs: List[SubgraphSpec] = []
+        # Every layer's subgraph at a position is the same but for its
+        # layer: compute each position once and stamp it per layer.
+        block = (
+            self._pre_attn(0, rows),
+            self._qkv(0, rows),
+            self._attention(0, rows, kv_len),
+            self._wo(0, rows),
+            self._pre_ffn(0, rows),
+            self._ffn(0, rows),
+        )
+        for template in block:
+            template.matmul_ops  # computed once, carried by every stamp
+        subgraphs = [at_layer(template, layer)
+                     for layer in range(cfg.n_layers) for template in block]
+        n_up = 2 if cfg.gated_ffn else 1
+        widths = ((SG_QKV, cfg.q_dim + 2 * cfg.kv_dim),
+                  (SG_WO, cfg.hidden_size),
+                  (SG_FFN, n_up * cfg.ffn_hidden + cfg.hidden_size))
+        # The shadow specs of a layer depend only on its profile.
+        by_profile: Dict[ShadowProfile, Tuple[ShadowSpec, ...]] = {}
+        default = ShadowProfile()
         shadows: Dict[Tuple[int, int], ShadowSpec] = {}
         for layer in range(cfg.n_layers):
-            subgraphs.extend([
-                self._pre_attn(layer, rows),
-                self._qkv(layer, rows),
-                self._attention(layer, rows, kv_len),
-                self._wo(layer, rows),
-                self._pre_ffn(layer, rows),
-                self._ffn(layer, rows),
-            ])
-            profile = (shadow_profiles or {}).get(layer, ShadowProfile())
-            shadows[(layer, SG_QKV)] = self._shadow(
-                layer, SG_QKV, rows, cfg.q_dim + 2 * cfg.kv_dim, profile
-            )
-            shadows[(layer, SG_WO)] = self._shadow(
-                layer, SG_WO, rows, cfg.hidden_size, profile
-            )
-            n_up = 2 if cfg.gated_ffn else 1
-            shadows[(layer, SG_FFN)] = self._shadow(
-                layer, SG_FFN, rows, n_up * cfg.ffn_hidden + cfg.hidden_size,
-                profile,
-            )
+            profile = (shadow_profiles or {}).get(layer, default)
+            templates = by_profile.get(profile)
+            if templates is None:
+                templates = by_profile[profile] = tuple(
+                    self._shadow(0, position, rows, n_out, profile)
+                    for position, n_out in widths)
+            for template in templates:
+                shadows[(layer, template.position)] = at_layer(template,
+                                                               layer)
         self._plan_cache[key] = ChunkPlan(chunk_index, chunk_len, kv_len,
                                           list(subgraphs), dict(shadows))
         return ChunkPlan(chunk_index, chunk_len, kv_len, subgraphs, shadows)
@@ -372,18 +382,20 @@ class GraphBuilder:
         """The plan for chunk ``chunk_index`` built on ``base`` (§3.2).
 
         Only attention depends on the chunk index (through its KV
-        length), so only the attention subgraphs are built; the static
-        subgraphs and the shadow specs are ``base``'s own objects.  The
-        result equals ``build_chunk(chunk_index, base.chunk_len, ...)``
-        with ``base``'s shadow profiles, field for field.
+        length), so only the attention subgraphs are built, one per KV
+        length stamped per layer; the static subgraphs and the shadow
+        specs are ``base``'s own objects.  The result equals
+        ``build_chunk(chunk_index, base.chunk_len, ...)`` with ``base``'s
+        shadow profiles, field for field.
         """
         if chunk_index < 0:
             raise GraphError(f"invalid chunk index {chunk_index}")
         rows = base.chunk_len
         kv_len = (chunk_index + 1) * rows
+        attention = self._attention(0, rows, kv_len)
+        attention.matmul_ops  # computed once, carried by every stamp
         subgraphs = [
-            self._attention(sg.layer, rows, kv_len)
-            if sg.position == SG_ATTN else sg
+            at_layer(attention, sg.layer) if sg.position == SG_ATTN else sg
             for sg in base.subgraphs
         ]
         return ChunkPlan(chunk_index, rows, kv_len, subgraphs,

@@ -169,3 +169,18 @@ class ShadowSpec:
     @property
     def total_s(self) -> float:
         return self.matmul_s + self.sync_s + self.disk_s
+
+
+def at_layer(spec, layer: int):
+    """A copy of the frozen ``spec`` (a :class:`SubgraphSpec` or
+    :class:`ShadowSpec`) at ``layer``.
+
+    No cost function reads the layer, so the builder computes each
+    position once per chunk and stamps it per layer.  The copy shares
+    ``spec``'s ops tuple and whatever ``spec`` has cached, such as a
+    computed :attr:`SubgraphSpec.matmul_ops`; ``spec`` was validated on
+    construction, and the layer is not validated.
+    """
+    copy = object.__new__(type(spec))
+    vars(copy).update(vars(spec), layer=layer)
+    return copy

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import ConfigError
+from repro.keys import ContentKeyed
 
 
 class ProcKind(enum.Enum):
@@ -104,7 +105,7 @@ class MatMulProfile:
 
 
 @dataclass(frozen=True)
-class ProcessorSpec:
+class ProcessorSpec(ContentKeyed):
     """One processor of the SoC.
 
     ``matmul`` maps :class:`DType` to a :class:`MatMulProfile`; missing

@@ -185,7 +185,10 @@ class FaultInjector:
 _INF = float("inf")
 
 
-class _TaskFields(NamedTuple):
+class TaskColumns(NamedTuple):
+    """The fields of a :class:`Task`; with a tuple per field, the
+    columns of a task list (see :meth:`SchedulingPolicy.key_column`)."""
+
     task_id: str
     proc: str
     duration_s: float
@@ -196,7 +199,7 @@ class _TaskFields(NamedTuple):
     ops: float = 0.0
 
 
-class Task(_TaskFields):
+class Task(TaskColumns):
     """A schedulable unit (one subgraph execution, sync, etc.).
 
     An immutable tuple, like :class:`~repro.hw.trace.TraceEvent`:
@@ -267,6 +270,21 @@ class SchedulingPolicy:
         runs first.  Equal keys run in the order the tasks became ready."""
         raise NotImplementedError
 
+    def key_column(self, tasks: Sequence[Task],
+                   columns: TaskColumns) -> Sequence:
+        """Every task's :meth:`key`, in task order: ``key(tasks[i], i)``
+        at ``i``.
+
+        ``columns`` holds the tasks' fields by column
+        (``columns.chunk[i]`` is ``tasks[i].chunk``), so a policy whose
+        keys are columns can build them without a call per task.  The
+        simulator calls the override of the class that defines ``key``
+        or of a subclass of it, so a subclass that overrides only
+        ``key`` keeps its own keys.
+        """
+        key = self.key
+        return [key(task, i) for i, task in enumerate(tasks)]
+
     def select(self, proc: str, ready: List[Task],
                context: "SimContext") -> Optional[Task]:
         submit_index = context.submit_index
@@ -281,6 +299,10 @@ class FifoPolicy(SchedulingPolicy):
 
     def key(self, task: Task, index: int) -> int:
         return index
+
+    def key_column(self, tasks: Sequence[Task],
+                   columns: TaskColumns) -> Sequence[int]:
+        return range(len(tasks))
 
 
 @dataclass
@@ -298,6 +320,20 @@ class SimContext:
         dependency counts once per occurrence."""
         task = self.tasks[task_id]
         return sum(1 for d in task.deps if d not in self.completed)
+
+
+def _key_column(policy: SchedulingPolicy, tasks: Sequence[Task],
+                columns: TaskColumns) -> Sequence:
+    """``policy``'s keys of ``tasks``, from the :meth:`key_column
+    <SchedulingPolicy.key_column>` of the class that defines ``key``,
+    or of a subclass; an override above that class would not know the
+    keys, so the base class's call per task makes them."""
+    mro = type(policy).__mro__
+    owner = next(c for c in mro if "key" in vars(c))
+    column_owner = next(c for c in mro if "key_column" in vars(c))
+    if issubclass(column_owner, owner):
+        return policy.key_column(tasks, columns)
+    return SchedulingPolicy.key_column(policy, tasks, columns)
 
 
 def _key_order(policy: SchedulingPolicy) -> Optional[str]:
@@ -332,10 +368,10 @@ class Simulator:
     :func:`_key_order`:
 
     * for a **static-key** policy, a heap of ``(key, ready order,
-      index)``, with keys computed once per task (see
-      :meth:`SchedulingPolicy.key`).  An ``in_order`` policy's heap holds
-      every task on the processor from the start, and the top is
-      dispatched only once its dependencies are done;
+      index)``, with the keys taken once per run as a column (see
+      :meth:`SchedulingPolicy.key_column`).  An ``in_order`` policy's
+      heap holds every task on the processor from the start, and the
+      top is dispatched only once its dependencies are done;
     * for a policy that declares an ``eq5`` rule, a list of indices that
       the simulator ranks by the declared Eq. 5 key at each decision
       point, reading the unfinished-dependency counts directly;
@@ -435,8 +471,8 @@ class Simulator:
         """
         policy = policy if policy is not None else FifoPolicy()
         n_tasks = len(tasks)
-        ids, procs, durations, deps, tags, _, _, ops = (
-            zip(*tasks) if n_tasks else ((),) * 8)
+        columns = TaskColumns._make(zip(*tasks) if n_tasks else ((),) * 8)
+        ids, procs, durations, deps, tags, _, _, ops = columns
         proc_of, dependents = self._index(tasks, ids, procs, deps,
                                           dependents)
         remaining = list(map(len, deps))
@@ -447,7 +483,7 @@ class Simulator:
         heaps = ready = select = context = completed = None
         head = order == "head"
         if order == "ready" or head:
-            keys = [policy.key(t, i) for i, t in enumerate(tasks)]
+            keys = _key_column(policy, tasks, columns)
             heaps = [[] for _ in names]
             # The push count breaks key ties in ready order, exactly as
             # select's min() over the ready list does; an in-order queue

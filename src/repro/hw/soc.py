@@ -23,10 +23,11 @@ from repro.hw.energy import EnergyModel
 from repro.hw.memory import GiB, SocMemory
 from repro.hw.npu_graph import NpuGraphCostModel
 from repro.hw.processor import DType, MatMulProfile, ProcKind, ProcessorSpec
+from repro.keys import ContentKeyed
 
 
 @dataclass(frozen=True)
-class SocSpec:
+class SocSpec(ContentKeyed):
     """A complete device: processors, memory, energy, NPU graph costs."""
 
     name: str

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import ConfigError
+from repro.keys import ContentKeyed
 
 #: Activation function names understood by :mod:`repro.model.layers`.
 ACTIVATIONS = ("silu", "gelu", "relu")
@@ -22,7 +23,7 @@ NORMS = ("rmsnorm", "layernorm")
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(ContentKeyed):
     """Architecture of a decoder-only transformer.
 
     Attributes mirror the usual HuggingFace config fields.  ``n_kv_heads``

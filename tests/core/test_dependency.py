@@ -1,5 +1,7 @@
 """Tests for the task-graph construction (Eqs. 2-3 and shadow tasks)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.dependency import (
@@ -9,10 +11,12 @@ from repro.core.dependency import (
     sync_id,
     task_id,
 )
-from repro.errors import DependencyError
+from repro.core.engine import LlmNpuEngine
+from repro.errors import DependencyError, SchedulingError
 from repro.graph import GraphBuilder, SG_ATTN, SG_QKV
 from repro.graph.builder import ShadowProfile
 from repro.hw import REDMI_K70_PRO, Simulator
+from repro.hw.sim import Task
 from repro.model import tiny_config
 
 
@@ -113,3 +117,103 @@ class TestTaskGraphExecutes:
         for t in tasks:
             for d in t.deps:
                 assert start_times[t.task_id] >= end_times[d] - 1e-12
+
+
+def reference_lowering(plans, float_proc="cpu", include_shadow=True,
+                       shadow_proc=None):
+    """The lowering as it was: every task built through ``Task(...)``,
+    every id through :func:`task_id`, :func:`shadow_id` and
+    :func:`sync_id`."""
+    shadow_proc = shadow_proc if shadow_proc is not None else float_proc
+    scheduled = {plan.chunk_index for plan in plans}
+    tasks = []
+    for plan in plans:
+        chunk = plan.chunk_index
+        earlier = [c for c in range(chunk) if c in scheduled]
+        gate = ()
+        for sg in plan.subgraphs:
+            layer, pos = sg.layer, sg.position
+            deps = gate
+            if pos == SG_ATTN:
+                deps += tuple(task_id(c, layer, SG_QKV) for c in earlier)
+            tid = task_id(chunk, layer, pos)
+            index = layer * 6 + pos
+            tasks.append(Task(
+                tid, "npu" if sg.is_npu else float_proc, sg.latency_s, deps,
+                f"sg{pos}" if sg.is_npu else f"sg{pos}.float", chunk, index,
+                sum(op.matmul_ops for op in sg.ops)))
+            gate = (tid,)
+            spec = plan.shadows.get((layer, pos))
+            if include_shadow and sg.is_npu and spec is not None \
+                    and spec.enabled:
+                sid = shadow_id(chunk, layer, pos)
+                tasks.append(Task(sid, shadow_proc, spec.matmul_s + spec.disk_s,
+                                  deps, "shadow", chunk, index,
+                                  spec.matmul_ops))
+                yid = sync_id(chunk, layer, pos)
+                tasks.append(Task(yid, "npu", spec.sync_s, (tid, sid), "sync",
+                                  chunk, index))
+                gate = (yid,)
+    return tasks
+
+
+class TestLoweringMatchesTheReference:
+    """Lowering builds ids from prefixes and tasks as plain tuples; every
+    id, dep, tag and float must be what the per-task construction gave."""
+
+    @pytest.mark.parametrize("model_name,rate,backend,shadow_proc", [
+        ("Qwen1.5-1.8B", 0.85, "cpu", None),
+        ("Gemma-2B", 0.1, "gpu", None),
+        ("Phi-2-2.7B", 0.975, "cpu", "gpu"),
+        ("Mistral-7B", 0.0, "npu", None),
+    ])
+    @pytest.mark.parametrize("cached_tokens", [0, 300])
+    def test_engine_dags(self, model_name, rate, backend, shadow_proc,
+                         cached_tokens):
+        engine = LlmNpuEngine.build(model_name, "Redmi K60 Pro",
+                                    pruning_rate=rate, float_backend=backend,
+                                    max_chunks=4)
+        blocks = engine._prepared.task_blocks()
+        plans = engine.graph.plans_for_prompt(700, cached_tokens)
+        for include_shadow in (True, False):
+            want = reference_lowering(plans, backend, include_shadow,
+                                      shadow_proc)
+            for _ in range(2):  # lowered afresh, then from cached blocks
+                got = build_task_graph(plans, backend, include_shadow,
+                                       shadow_proc, blocks)
+                assert all(type(t) is Task for t in got)
+                assert [tuple(t) for t in got] == [tuple(t) for t in want]
+                assert [repr(t.duration_s) for t in got] == \
+                    [repr(t.duration_s) for t in want]
+
+    def test_out_of_order_plans(self, builder):
+        order = plans(builder, 3)[::-1]
+        assert list(build_task_graph(order)) == reference_lowering(order)
+
+
+class TestLoweringRejectsBadDurations:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_subgraph_latency(self, builder, bad):
+        plan = builder.build_chunk(0, 64)
+        plan.subgraphs[9] = dataclasses.replace(plan.subgraphs[9],
+                                                latency_s=bad)
+        plan.subgraphs[15] = dataclasses.replace(plan.subgraphs[15],
+                                                 latency_s=bad)
+        with pytest.raises(SchedulingError,
+                           match=r"^task c0\.l1\.sg3: non-finite duration"):
+            build_task_graph([plan])
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("matmul_s", -1.0, "c0.l2.sg5.shadow: negative"),
+        ("disk_s", float("inf"), "c0.l2.sg5.shadow: non-finite"),
+        ("sync_s", float("nan"), "c0.l2.sg5.sync: non-finite"),
+    ])
+    def test_shadow_durations(self, builder, field, bad, message):
+        plan = builder.build_chunk(0, 64)
+        key = (2, 5)
+        plan.shadows[key] = dataclasses.replace(plan.shadows[key],
+                                                **{field: bad})
+        with pytest.raises(SchedulingError, match=f"^task {message}"):
+            build_task_graph([plan])
+        # without shadows the bad spec is never lowered
+        build_task_graph([plan], include_shadow=False)

@@ -26,6 +26,7 @@ from repro.core.service import _prefill_chunk_costs
 from repro.graph.builder import BuildOptions, GraphBuilder
 from repro.hw import REDMI_K60_PRO, REDMI_K70_PRO
 from repro.hw.dma import DmaConfig
+from repro.hw.processor import DType
 from repro.hw.trace import Trace
 from repro.model import QWEN15_18B
 from repro.obs import engine_with_dma
@@ -263,6 +264,39 @@ class TestSharedGraphs:
         for _ in range(3):
             check_memoized(a, 300, sightings=1)
             check_memoized(b, 300, sightings=1)
+
+    def test_spec_keys_are_derived_once_per_instance(self):
+        twin = REDMI_K70_PRO.scaled(name=REDMI_K70_PRO.name,
+                                    soc=REDMI_K70_PRO.soc, cpu_gpu=1.0,
+                                    npu=1.0,
+                                    dram_bytes=REDMI_K70_PRO.dram_bytes)
+        LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO)
+        for spec in (REDMI_K70_PRO, REDMI_K70_PRO.npu, QWEN15_18B):
+            assert "content_key" in vars(spec)
+            assert spec.content_key is spec.content_key
+        assert "content_key" not in vars(twin)
+        assert twin.content_key == REDMI_K70_PRO.content_key
+        assert twin.content_key is not REDMI_K70_PRO.content_key
+
+    def test_replaced_processor_profile_gets_its_own_graph(self):
+        a = LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO)
+        npu = REDMI_K70_PRO.npu
+        int8 = npu.matmul[DType.INT8]
+        slower = dataclasses.replace(npu, matmul={
+            **npu.matmul,
+            DType.INT8: dataclasses.replace(int8,
+                                            overhead_s=2 * int8.overhead_s)})
+        device = dataclasses.replace(REDMI_K70_PRO, processors={
+            **REDMI_K70_PRO.processors, "npu": slower})
+        # replace builds fresh instances: no key is carried over
+        assert "content_key" not in vars(slower)
+        assert "content_key" not in vars(device)
+        b = LlmNpuEngine.build(QWEN15_18B, device)
+        assert b.graph is not a.graph
+        assert device.content_key != REDMI_K70_PRO.content_key
+        assert_same_report(b.prefill(700), oracle(b, 700))
+        # and the original spec still finds its own graph
+        assert LlmNpuEngine.build(QWEN15_18B, REDMI_K70_PRO).graph is a.graph
 
     @pytest.mark.parametrize("change", [
         dict(pruning_rate=0.5), dict(chunk_len=128), dict(max_chunks=4),

@@ -32,6 +32,7 @@ from repro.hw.sim import (
     SchedulingPolicy,
     Simulator,
     Task,
+    TaskColumns,
 )
 from repro.obs.whatif import capture_engine_run
 
@@ -317,6 +318,97 @@ class TestFastPathGate:
 
         with pytest.raises(SchedulingError, match="unknown eq5 rule"):
             Simulator(["cpu"]).run([Task("a", "cpu", 1.0)], Bogus())
+
+
+class TestKeyColumn:
+    """Static-key policies hand the simulator their keys as one column
+    (``SchedulingPolicy.key_column``); the built-ins build it from the
+    task fields' columns instead of calling ``key`` per task."""
+
+    STATIC = [FifoPolicy, ChunkOrderPolicy, LatencyGreedyPolicy,
+              HeadOfLinePolicy]
+
+    @pytest.mark.parametrize("policy_cls", STATIC,
+                             ids=lambda p: p.__name__)
+    def test_column_equals_the_per_task_keys(self, qwen_engine, policy_cls):
+        plans = qwen_engine.graph.plans_for_prompt(
+            3 * qwen_engine.config.chunk_len, 0)
+        _, tasks = lower_prefill(plans, "cpu", True, None,
+                                 qwen_engine._prepared.task_blocks())
+        policy = policy_cls()
+        columns = TaskColumns._make(zip(*tasks))
+        assert list(policy.key_column(tasks, columns)) == [
+            policy.key(t, i) for i, t in enumerate(tasks)]
+        assert list(policy.key_column([], TaskColumns(*((),) * 8))) == []
+
+    @pytest.mark.parametrize("policy_cls", STATIC,
+                             ids=lambda p: p.__name__)
+    def test_subclass_overriding_only_key_keeps_its_keys(self, policy_cls):
+        # The parent's column is its own keys; a subclass that changes
+        # only key must get the order its key gives.
+        class NewestFirst(policy_cls):
+            def key(self, task, index):
+                return -index
+
+        tasks = [Task(f"t{i}", "cpu", 1e-4) for i in range(6)]
+        newest = Simulator(["cpu"]).run(tasks, NewestFirst())
+        assert [e.task_id for e in newest.events] == [
+            f"t{i}" for i in reversed(range(6))]
+        assert newest.events == ReferenceSimulator(["cpu"]).run(
+            tasks, NewestFirst()).events
+        for seed in range(3):
+            graph = random_graph(seed)
+            outcomes = []
+            for sim_cls in (ReferenceSimulator, Simulator):
+                # a reversed in-order queue may deadlock: both must
+                try:
+                    outcomes.append(sim_cls(PROCS).run(
+                        graph, NewestFirst()).events)
+                except DependencyError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], f"graph seed {seed}"
+
+    def test_column_override_below_key_is_used(self):
+        calls = []
+
+        class Columned(SchedulingPolicy):
+            def key(self, task, index):
+                return (task.tag, index)
+
+        class Counted(Columned):
+            def key_column(self, tasks, columns):
+                calls.append(len(tasks))
+                return list(zip(columns.tag, range(len(tasks))))
+
+        for seed in range(3):
+            tasks = random_graph(seed)
+            fast = Simulator(PROCS).run(tasks, Counted())
+            assert fast.events == ReferenceSimulator(PROCS).run(
+                tasks, Columned()).events
+        assert calls == [60, 60, 60]
+
+    @pytest.mark.parametrize("model_name,rate,backend,cached", [
+        ("Gemma-2B", 0.975, "gpu", 0),
+        ("Phi-2-2.7B", 0.1, "cpu", 256),
+        ("Qwen2-1.5B", 0.475, "npu", 300),
+    ])
+    def test_block_cached_sweep_dags_match_reference(
+            self, model_name, rate, backend, cached):
+        # DAGs lowered from the graph's cached blocks, as the engine
+        # lowers them, schedule as the reference does under every policy.
+        engine = LlmNpuEngine.build(model_name, "Redmi K60 Pro",
+                                    float_backend=backend,
+                                    pruning_rate=rate, max_chunks=4)
+        blocks = engine._prepared.task_blocks()
+        plans = engine.graph.plans_for_prompt(500, cached)
+        lower_prefill(plans, backend, True, None, blocks)
+        procs, tasks = lower_prefill(plans, backend, True, None, blocks)
+        assert tasks.dependents is not None
+        for name in sorted(POLICIES):
+            ref = ReferenceSimulator(procs).run(list(tasks), get_policy(name))
+            fast = Simulator(procs).run(tasks, get_policy(name),
+                                        tasks.dependents)
+            assert fast.events == ref.events, name
 
 
 class TestErrorParity:
