@@ -8,7 +8,7 @@ policy, hot-channel cache fraction, equivalent-shape optimization, and the
 import pytest
 from conftest import show_and_archive
 
-from repro.eval import (
+from repro.eval.ablation import (
     ablation_chunk_length,
     ablation_equivalent_shapes,
     ablation_hot_channels,
@@ -86,7 +86,7 @@ def test_future_hardware(once):
 
 
 def test_mixed_precision_npu(once):
-    from repro.eval import mixed_precision_npu
+    from repro.eval.ablation import mixed_precision_npu
     table = once(mixed_precision_npu)
     show_and_archive(table, "mixed_precision_npu.txt")
 
@@ -101,7 +101,7 @@ def test_mixed_precision_npu(once):
 
 
 def test_tri_processor_negative_result(once):
-    from repro.eval import tri_processor
+    from repro.eval.ablation import tri_processor
     table = once(tri_processor)
     show_and_archive(table, "tri_processor.txt")
 
@@ -114,7 +114,7 @@ def test_tri_processor_negative_result(once):
 
 
 def test_short_prompt_crossover(once):
-    from repro.eval import short_prompt_crossover
+    from repro.eval.ablation import short_prompt_crossover
     table = once(short_prompt_crossover)
     show_and_archive(table, "short_prompt_crossover.txt")
 

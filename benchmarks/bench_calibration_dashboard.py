@@ -7,7 +7,7 @@ and the equivalent-shape gain.
 
 from conftest import show_and_archive
 
-from repro.eval import calibration_dashboard
+from repro.eval.validation import calibration_dashboard
 
 
 def test_all_anchors_pass(once):

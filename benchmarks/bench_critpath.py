@@ -9,7 +9,11 @@ predicts the placement switch without rebuilding the engine.
 
 from conftest import show_and_archive
 
-from repro.eval import dma_ablation, service_critpath, stage_crossover
+from repro.eval.whatif_eval import (
+    dma_ablation,
+    service_critpath,
+    stage_crossover,
+)
 
 
 def test_critpath(once):

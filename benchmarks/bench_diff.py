@@ -11,7 +11,7 @@ self-diff of the unperturbed baseline must come back identical.
 
 from conftest import show_and_archive
 
-from repro.eval import (
+from repro.eval.diff_eval import (
     INJECTED_TAG,
     diff_attribution_table,
     diff_summary_table,

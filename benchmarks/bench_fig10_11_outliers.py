@@ -8,7 +8,7 @@ and a small "hot" channel set covers >80% of all outlier occurrences
 
 from conftest import show_and_archive
 
-from repro.eval import fig10_fig11_outlier_stats
+from repro.eval.accuracy import fig10_fig11_outlier_stats
 
 
 def test_fig10_11_regenerate(once):

@@ -8,7 +8,7 @@ unimportant majority and collapses only as pruning approaches 100%.
 import numpy as np
 from conftest import show_and_archive
 
-from repro.eval import fig12_importance
+from repro.eval.accuracy import fig12_importance
 
 
 def test_fig12_regenerates(once):

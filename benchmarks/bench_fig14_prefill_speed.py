@@ -8,7 +8,7 @@ PowerInfer-V2 3.28-5.32x).
 
 from conftest import show_and_archive
 
-from repro.eval import fig14_prefill_speed
+from repro.eval.latency import fig14_prefill_speed
 
 
 def _speed(table, device, model, engine, prompt):

@@ -7,7 +7,7 @@ on the low-power NPU (paper at 1024 tokens: 35.6-59.5x vs llama.cpp-CPU,
 
 from conftest import show_and_archive
 
-from repro.eval import fig15_energy
+from repro.eval.energy_memory import fig15_energy
 
 
 def test_fig15_regenerates(once):

@@ -7,7 +7,7 @@ until the important layers start being pruned, then collapses.
 
 from conftest import show_and_archive
 
-from repro.eval import fig16_pruning_tradeoff
+from repro.eval.accuracy import fig16_pruning_tradeoff
 
 
 def test_fig16_regenerates(once):

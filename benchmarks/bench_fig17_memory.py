@@ -8,7 +8,7 @@ hot-channel cache.
 
 from conftest import show_and_archive
 
-from repro.eval import fig17_memory
+from repro.eval.energy_memory import fig17_memory
 
 
 def test_fig17_regenerates(once):

@@ -6,7 +6,7 @@ the NPU), but a GPU decode backend reduces end-to-end latency.
 
 from conftest import show_and_archive
 
-from repro.eval import fig18_coordination
+from repro.eval.latency import fig18_coordination
 
 
 def test_fig18_regenerates(once):

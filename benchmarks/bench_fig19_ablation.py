@@ -9,7 +9,7 @@ OOE 18-44% latency reduction.
 from conftest import show_and_archive
 
 from repro.core import LlmNpuEngine
-from repro.eval import fig19_ablation
+from repro.eval.latency import fig19_ablation
 
 
 def test_fig19_regenerates(once):

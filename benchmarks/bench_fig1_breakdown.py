@@ -7,7 +7,7 @@ and remains the majority (54.2-91.7%) even on GPUs.
 
 from conftest import show_and_archive
 
-from repro.eval import fig1_breakdown
+from repro.eval.latency import fig1_breakdown
 
 
 def test_fig1_regenerates(once):

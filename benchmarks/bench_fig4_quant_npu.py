@@ -7,7 +7,7 @@ into group-sized sub-MatMuls plus float reductions; the paper measures
 
 from conftest import show_and_archive
 
-from repro.eval import fig4_quant_npu
+from repro.eval.latency import fig4_quant_npu
 
 
 def test_fig4_regenerates(once):

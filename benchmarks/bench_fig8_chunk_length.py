@@ -7,7 +7,7 @@ growing with the chunk size.
 
 from conftest import show_and_archive
 
-from repro.eval import fig8_chunk_length
+from repro.eval.latency import fig8_chunk_length
 
 
 def test_fig8_regenerates(once):

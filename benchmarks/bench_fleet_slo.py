@@ -10,7 +10,8 @@ aggregate (bounded-size sketches, no raw samples).
 
 from conftest import show_and_archive
 
-from repro.eval import archive, fleet_slo
+from repro.eval.fleet import fleet_slo
+from repro.eval.report import archive
 
 
 def test_fleet_slo(once):

@@ -11,7 +11,7 @@ far fewer steps.
 
 from conftest import show_and_archive
 
-from repro.eval import scheduler_occupancy
+from repro.eval.service_eval import scheduler_occupancy
 
 
 def test_scheduler_occupancy_and_decision_mix(once):

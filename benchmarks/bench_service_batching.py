@@ -9,7 +9,7 @@ the ``prefill_priority`` knob trades TTFT against ITL.
 
 from conftest import show_and_archive
 
-from repro.eval import service_batching
+from repro.eval.service_eval import service_batching
 
 
 def test_service_batching_goodput_and_knob(once):

@@ -7,7 +7,7 @@ service drowns in queueing.
 
 from conftest import show_and_archive
 
-from repro.eval import (
+from repro.eval.service_eval import (
     service_breakdown,
     service_engine_comparison,
     service_fault_recovery,
@@ -69,7 +69,7 @@ def test_service_latency_breakdown(once):
     # breakdown_table re-validates per-request sums (1e-9 s) before
     # rendering; here assert the aggregate story: the background tier's
     # turnaround is queueing-dominated, the interactive tier's is not.
-    from repro.eval import service_golden_records
+    from repro.eval.service_eval import service_golden_records
     from repro.obs import breakdown_requests, validate_breakdowns
     breakdowns = breakdown_requests(service_golden_records().requests)
     validate_breakdowns(breakdowns)

@@ -7,22 +7,27 @@ run) plus a row under the engine's ``ooo`` policy on a real prefill
 DAG with its own floor, quant-hot-path tokens/second, and
 fleet-harness devices/second.  The gated artifact
 metric is the deterministic ``speedup floor x`` contract; raw rates are
-informational (machine-dependent).  CI's perf-smoke job runs this file
-under a wall-clock budget and bench-compares the artifact against the
-committed golden.
+informational (machine-dependent), so a run writes its tables and
+artifact under the git-ignored ``.bench_build/sim_speed/`` and leaves the
+committed golden in ``benchmarks/results/`` as it is.  CI's perf-smoke
+job runs this file under a wall-clock budget and bench-compares the
+fresh artifact against that golden.
 """
 
 import os
 
 from conftest import run_once
 
-from repro.eval import archive, results_dir
 from repro.eval.simbench import (
     SIM_SPEEDUP_FLOORS,
     sim_floor_misses,
     sim_speed_report,
 )
 from repro.obs import make_artifact, write_text
+
+#: Where a run writes its wall-clock tables and artifact.
+OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), ".bench_build", "sim_speed")
 
 
 def test_sim_speed(benchmark):
@@ -32,11 +37,11 @@ def test_sim_speed(benchmark):
                             (fleet, "sim_speed_fleet.txt")):
         print()
         print(table.render())
-        print(f"[archived: {archive(table, filename)}]")
+        path = write_text(os.path.join(OUT_DIR, filename), table.render())
+        print(f"[written: {path}]")
     artifact = make_artifact("sim_speed", [sim, quant, fleet])
-    json_path = write_text(
-        os.path.join(results_dir(), "json", "BENCH_sim_speed.json"),
-        artifact.to_json())
+    json_path = write_text(os.path.join(OUT_DIR, "BENCH_sim_speed.json"),
+                           artifact.to_json())
     print(f"[artifact: {json_path}]")
 
     # ACCEPTANCE: the simulator loop must beat the reference by its

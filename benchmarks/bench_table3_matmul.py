@@ -7,7 +7,7 @@ tolerance of the published measurements and preserves the engine ordering.
 
 from conftest import show_and_archive
 
-from repro.eval import TABLE3_PAPER_MS, table3_matmul
+from repro.eval.latency import TABLE3_PAPER_MS, table3_matmul
 
 
 def test_table3_regenerates(once):

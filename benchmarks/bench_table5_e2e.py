@@ -9,7 +9,7 @@ CPU, §4.3).
 
 from conftest import show_and_archive
 
-from repro.eval import table5_e2e
+from repro.eval.latency import table5_e2e
 
 
 def _rows_for(table, workload, model):

@@ -8,7 +8,7 @@ LLM.int8() >= llm.npu (at its default 85% pruning) > K-Quant (per-group)
 
 from conftest import show_and_archive
 
-from repro.eval import table6_accuracy
+from repro.eval.accuracy import table6_accuracy
 
 
 def test_table6_regenerates(once):

@@ -48,7 +48,7 @@ def show_and_archive(table, filename):
     import os
 
     from repro.errors import ReproError
-    from repro.eval import archive, results_dir
+    from repro.eval.report import archive, results_dir
     from repro.obs import load_artifact, make_artifact, write_text
 
     print()

@@ -13,7 +13,7 @@ back to the offending request tracks and fault draws.
 Run:  python examples/fleet_monitor.py
 """
 
-from repro.eval import (
+from repro.eval.fleet import (
     default_fleet,
     fleet_compliance_table,
     fleet_percentile_table,

@@ -16,17 +16,17 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 snapshot() {
-    python -c 'from repro.eval import service_golden_snapshot
+    python -c 'from repro.eval.service_eval import service_golden_snapshot
 print(service_golden_snapshot(seed=42))'
 }
 
 trace() {
-    python -c 'from repro.eval import service_golden_trace
+    python -c 'from repro.eval.service_eval import service_golden_trace
 print(service_golden_trace(seed=42))'
 }
 
 profile() {
-    python -c 'from repro.eval import golden_profile_json
+    python -c 'from repro.eval.profiling import golden_profile_json
 print(golden_profile_json(seed=42))'
 }
 
@@ -78,7 +78,7 @@ echo "OK: golden profile report is byte-identical across runs" \
 # timelines — all sim-clock-stamped, so it too must be a pure function
 # of the seed.
 fleet() {
-    python -c 'from repro.eval import fleet_golden_json
+    python -c 'from repro.eval.fleet import fleet_golden_json
 print(fleet_golden_json(seed=42))'
 }
 
@@ -109,7 +109,7 @@ trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
 
 python -c 'import sys
 from repro.core.pipeline import prefill_memo_stats, reset_prefill_memo_stats
-from repro.eval import fleet_golden_json
+from repro.eval.fleet import fleet_golden_json
 misses = []
 for path in sys.argv[1:]:
     reset_prefill_memo_stats()
@@ -134,7 +134,7 @@ echo "OK: fleet SLO report is byte-identical with a cold and a warm" \
 # observing it is a no-op: with a StepLogger attached (every step and
 # decision emitted) the snapshot must not change a byte.
 batching() {
-    python -c "from repro.eval import service_batching_golden_snapshot
+    python -c "from repro.eval.service_eval import service_batching_golden_snapshot
 from repro.obs import StepLogger
 log = StepLogger() if $2 else None
 print(service_batching_golden_snapshot(seed=42, prefill_priority=$1,
@@ -173,7 +173,7 @@ done
 # independent evaluations must serialize to identical bytes, and
 # `llmnpu validate` must accept it.
 steplog() {
-    python -c 'from repro.eval import golden_steplog_json
+    python -c 'from repro.eval.service_eval import golden_steplog_json
 print(golden_steplog_json(seed=42, batched=True))'
 }
 
@@ -199,7 +199,7 @@ echo "OK: golden step log is byte-identical across runs" \
 # attached (decision emission enabled) must equal the unobserved one
 # byte-for-byte.
 observed_snapshot() {
-    python -c 'from repro.eval import service_golden_snapshot
+    python -c 'from repro.eval.service_eval import service_golden_snapshot
 from repro.obs import StepLogger
 print(service_golden_snapshot(seed=42, steplog=StepLogger()))'
 }
@@ -223,7 +223,7 @@ trap 'rm -f "$out1" "$out2" "$trace1" "$trace2" "$prof1" "$prof2" \
      "$fleet1" "$fleet2" "$warm1" "$warm2" \
      "$steps1" "$steps2" "$noop1" "$par1" "$par2"' EXIT
 
-python -c 'from repro.eval import fleet_golden_json
+python -c 'from repro.eval.fleet import fleet_golden_json
 print(fleet_golden_json(seed=42, workers=4))' > "$par1"
 if ! cmp -s "$fleet1" "$par1"; then
     echo "FAIL: parallel fleet report (workers=4) differs from" \
@@ -233,7 +233,7 @@ fi
 
 four_device_fleet() {
     python -c "import json
-from repro.eval import default_fleet, fleet_report
+from repro.eval.fleet import default_fleet, fleet_report
 specs = default_fleet(n_devices=4, seed=42)
 print(json.dumps(fleet_report(specs=specs, seed=42, workers=$1)))"
 }
@@ -252,7 +252,7 @@ echo "OK: parallel fleet fan-out is byte-identical to sequential" \
 # `llmnpu validate` enforces per-path conservation (sum of waits +
 # durations == e2e within 1e-9 s) on it.
 critpath() {
-    python -c 'from repro.eval import golden_critpath_json
+    python -c 'from repro.eval.whatif_eval import golden_critpath_json
 print(golden_critpath_json(seed=42))'
 }
 
@@ -340,7 +340,7 @@ print("OK: simulator matches the reference on",
 # to the observed e2e delta (`llmnpu validate` enforces the residual
 # bound per aligned request).
 diffpair() {
-    python -c 'from repro.eval import golden_diff_json
+    python -c 'from repro.eval.diff_eval import golden_diff_json
 print(golden_diff_json())'
 }
 
@@ -361,7 +361,7 @@ fi
 python -m repro.cli validate "$diff1"
 python -c '
 import json, sys
-from repro.eval import INJECTED_TAG, injected_slowdown_docs
+from repro.eval.diff_eval import INJECTED_TAG, injected_slowdown_docs
 from repro.obs import diff_docs
 
 doc = json.load(open(sys.argv[1]))

@@ -15,118 +15,98 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List, Tuple
 
-from repro.eval import (
-    ablation_chunk_length,
-    calibration_dashboard,
-    diff_demo,
-    dma_ablation,
-    fleet_slo,
-    service_batching,
-    service_breakdown,
-    service_critpath,
-    service_fault_recovery,
-    service_load,
-    service_profile,
-    service_tier_comparison,
-    stage_crossover,
-    ablation_equivalent_shapes,
-    ablation_hot_channels,
-    dma_overlap,
-    ablation_scheduler,
-    archive,
-    future_hardware,
-    mixed_precision_npu,
-    tri_processor,
-    short_prompt_crossover,
-    fig1_breakdown,
-    fig4_quant_npu,
-    fig8_chunk_length,
-    fig10_fig11_outlier_stats,
-    fig12_importance,
-    fig14_prefill_speed,
-    fig15_energy,
-    fig16_pruning_tradeoff,
-    fig17_memory,
-    fig18_coordination,
-    fig19_ablation,
-    table3_matmul,
-    table5_e2e,
-    table6_accuracy,
-)
-from repro.obs.export import write_text
-
-#: Experiment id -> (description, zero-arg driver returning Table(s)).
-EXPERIMENTS: Dict[str, tuple] = {
-    "table3": ("MatMul micro-benchmarks per engine", table3_matmul),
-    "fig1": ("prefill share of end-to-end latency", fig1_breakdown),
-    "fig4": ("quantization layout cost on the NPU", fig4_quant_npu),
+#: Experiment id -> (description, ``"module:function"`` of its zero-arg
+#: driver under ``repro.eval``, returning Table(s)).  A driver's module
+#: is imported only when the experiment runs (:func:`load_driver`).
+EXPERIMENTS: Dict[str, Tuple[str, str]] = {
+    "table3": ("MatMul micro-benchmarks per engine", "latency:table3_matmul"),
+    "fig1": ("prefill share of end-to-end latency", "latency:fig1_breakdown"),
+    "fig4": ("quantization layout cost on the NPU", "latency:fig4_quant_npu"),
     "fig8": ("chunk-length sweep (per-token NPU latency)",
-             fig8_chunk_length),
-    "fig10-11": ("outlier channel statistics", fig10_fig11_outlier_stats),
-    "fig12": ("outlier importance and pruning sweep", fig12_importance),
-    "fig14": ("prefill speed vs five baselines", fig14_prefill_speed),
-    "fig15": ("prefill energy vs baselines", fig15_energy),
+             "latency:fig8_chunk_length"),
+    "fig10-11": ("outlier channel statistics",
+                 "accuracy:fig10_fig11_outlier_stats"),
+    "fig12": ("outlier importance and pruning sweep",
+              "accuracy:fig12_importance"),
+    "fig14": ("prefill speed vs five baselines",
+              "latency:fig14_prefill_speed"),
+    "fig15": ("prefill energy vs baselines", "energy_memory:fig15_energy"),
     "fig16": ("accuracy vs speed across pruning rates",
-              fig16_pruning_tradeoff),
-    "fig17": ("memory consumption vs INT8 baselines", fig17_memory),
-    "fig18": ("CPU-NPU vs GPU-NPU coordination", fig18_coordination),
-    "fig19": ("technique ablation ladder", fig19_ablation),
-    "table5": ("end-to-end latency on the mobile workloads", table5_e2e),
-    "table6": ("quantization accuracy comparison", table6_accuracy),
+              "accuracy:fig16_pruning_tradeoff"),
+    "fig17": ("memory consumption vs INT8 baselines",
+              "energy_memory:fig17_memory"),
+    "fig18": ("CPU-NPU vs GPU-NPU coordination", "latency:fig18_coordination"),
+    "fig19": ("technique ablation ladder", "latency:fig19_ablation"),
+    "table5": ("end-to-end latency on the mobile workloads",
+               "latency:table5_e2e"),
+    "table6": ("quantization accuracy comparison", "accuracy:table6_accuracy"),
     # extensions beyond the paper's own figures:
-    "abl-chunk": ("ablation: chunk length sweep", ablation_chunk_length),
-    "abl-sched": ("ablation: scheduling policies", ablation_scheduler),
+    "abl-chunk": ("ablation: chunk length sweep",
+                  "ablation:ablation_chunk_length"),
+    "abl-sched": ("ablation: scheduling policies",
+                  "ablation:ablation_scheduler"),
     "abl-hot": ("ablation: hot-channel cache sizing",
-                ablation_hot_channels),
+                "ablation:ablation_hot_channels"),
     "abl-shapes": ("ablation: equivalent-shape optimization",
-                   ablation_equivalent_shapes),
+                   "ablation:ablation_equivalent_shapes"),
     "dma-overlap": ("hw model: double/quad-buffered weight streaming",
-                    dma_overlap),
-    "future-hw": ("§5 what-if: faster NPUs", future_hardware),
-    "future-fp16": ("§5 what-if: mixed-precision NPU", mixed_precision_npu),
-    "tri-proc": ("extension: tri-processor execution", tri_processor),
+                    "ablation:dma_overlap"),
+    "future-hw": ("§5 what-if: faster NPUs", "ablation:future_hardware"),
+    "future-fp16": ("§5 what-if: mixed-precision NPU",
+                    "ablation:mixed_precision_npu"),
+    "tri-proc": ("extension: tri-processor execution",
+                 "ablation:tri_processor"),
     "crossover": ("extension: short-prompt crossover + hybrid dispatch",
-                  short_prompt_crossover),
+                  "ablation:short_prompt_crossover"),
     "validate": ("calibration dashboard: paper anchors vs this build "
                  "(artifact files are checked by `llmnpu validate`)",
-                 calibration_dashboard),
-    "service": ("LLM-as-a-System-Service load analysis", service_load),
+                 "validation:calibration_dashboard"),
+    "service": ("LLM-as-a-System-Service load analysis",
+                "service_eval:service_load"),
     "service-tiers": ("two-tier scheduling + admission control vs FIFO",
-                      service_tier_comparison),
+                      "service_eval:service_tier_comparison"),
     "service-faults": ("retry-with-backoff under injected engine faults",
-                       service_fault_recovery),
+                       "service_eval:service_fault_recovery"),
     "service-breakdown": ("per-tier turnaround decomposition "
                           "(queue/retry/prefill/decode)",
-                          service_breakdown),
+                          "service_eval:service_breakdown"),
     "service-batching": ("continuous batching with chunked prefill vs "
                          "per-request dispatch, sweeping the "
                          "prefill_priority TTFT/ITL knob",
-                         service_batching),
+                         "service_eval:service_batching"),
     "service-profile": ("per-operator/processor attribution + roofline "
                         "+ idle causes + energy over the golden workload",
-                        service_profile),
+                        "profiling:service_profile"),
     "fleet-slo": ("fleet telemetry: merged sketch percentiles + SLO "
                   "compliance + burn-rate incidents across devices",
-                  fleet_slo),
+                  "fleet:fleet_slo"),
     "critpath": ("critical-path attribution over the golden service "
                  "workload (which tasks gated each request)",
-                 service_critpath),
+                 "whatif_eval:service_critpath"),
     "dma-ablation": ("calibrated DMA buffer-depth ladder, cross-checked "
-                     "by the what-if estimator", dma_ablation),
+                     "by the what-if estimator", "whatif_eval:dma_ablation"),
     "stage-crossover": ("prompt length x float placement sweep with "
                         "critical-path gating stages (ROADMAP item 3)",
-                        stage_crossover),
+                        "whatif_eval:stage_crossover"),
     "diff-eval": ("differential attribution: inject a known operator "
                   "slowdown, diff the runs, recover exactly that "
-                  "operator as the top contributor", diff_demo),
+                  "operator as the top contributor", "diff_eval:diff_demo"),
 }
 
 
+def load_driver(name: str) -> Callable:
+    """Import and return the driver of experiment *name*."""
+    module, function = EXPERIMENTS[name][1].split(":")
+    return getattr(importlib.import_module(f"repro.eval.{module}"), function)
+
+
 def _print_tables(result, save_as: str = "") -> None:
+    from repro.eval.report import archive
     tables = result if isinstance(result, tuple) else (result,)
     for i, table in enumerate(tables):
         print(table.render())
@@ -139,7 +119,7 @@ def _print_tables(result, save_as: str = "") -> None:
 
 def cmd_list(_args) -> int:
     print("Available experiments:")
-    for name, (desc, _fn) in EXPERIMENTS.items():
+    for name, (desc, _driver) in EXPERIMENTS.items():
         print(f"  {name:10s} {desc}")
     return 0
 
@@ -154,7 +134,8 @@ def cmd_run(args) -> int:
             return 2
     import inspect
     for name in names:
-        desc, fn = EXPERIMENTS[name]
+        desc = EXPERIMENTS[name][0]
+        fn = load_driver(name)
         print(f"== {name}: {desc} ==")
         start = time.time()
         kwargs = {}
@@ -248,7 +229,7 @@ def cmd_infer(args) -> int:
         save_chrome_trace(args.trace_out, tracer)
         print(f"[trace written to {args.trace_out}]")
     if args.metrics_out:
-        from repro.obs import MetricsRegistry
+        from repro.obs import MetricsRegistry, write_text
         reg = MetricsRegistry()
         reg.counter("infer_requests_total", model=engine.model.name).inc()
         reg.counter("infer_prompt_tokens_total").inc(report.prompt_tokens)
@@ -266,13 +247,14 @@ def cmd_trace(args) -> int:
     """Run the seeded golden service workload fully traced and export
     the unified timeline, the JSONL event log, the metrics snapshot,
     and the per-tier latency breakdown."""
-    from repro.eval import service_golden_records
+    from repro.eval.service_eval import service_golden_records
     from repro.obs import (
         MetricsRegistry,
         Tracer,
         breakdown_table,
         export_service_trace,
         write_jsonl,
+        write_text,
     )
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -305,7 +287,7 @@ def cmd_profile(args) -> int:
         operator_table,
         service_profile_report,
     )
-    from repro.obs import validate_profile
+    from repro.obs import validate_profile, write_text
 
     if args.prompt_tokens:
         from repro.core import LlmNpuEngine
@@ -377,7 +359,7 @@ def cmd_fleet(args) -> int:
     and the merged incident timeline."""
     import json
 
-    from repro.eval import (
+    from repro.eval.fleet import (
         default_fleet,
         fleet_compliance_table,
         fleet_latency_table,
@@ -386,7 +368,7 @@ def cmd_fleet(args) -> int:
         fleet_scheduler_table,
         incident_table,
     )
-    from repro.obs import validate_fleet_doc
+    from repro.obs import validate_fleet_doc, write_text
 
     report = fleet_report(
         specs=default_fleet(args.devices, seed=args.seed),
@@ -418,9 +400,9 @@ def cmd_fleet(args) -> int:
 def cmd_monitor(args) -> int:
     """Run the seeded fault-storm scenario under SLO monitoring and
     print the compliance scoreboard + burn-rate incident timeline."""
-    from repro.eval import fault_storm_monitor, incident_table
+    from repro.eval.fleet import fault_storm_monitor, incident_table
     from repro.eval.report import Table
-    from repro.obs import validate_timeline_doc
+    from repro.obs import validate_timeline_doc, write_text
 
     monitor = fault_storm_monitor(seed=args.seed,
                                   transient_rate=args.transient_rate,
@@ -453,7 +435,7 @@ def cmd_monitor(args) -> int:
 
 def cmd_bench_compare(args) -> int:
     """Compare benchmark artifacts; exit 1 on regression."""
-    from repro.obs import benchdiff_json, compare_paths
+    from repro.obs import benchdiff_json, compare_paths, write_text
     comparison = compare_paths(args.baseline, args.candidate,
                                rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     if args.json_out:
@@ -546,6 +528,7 @@ def cmd_diff(args) -> int:
         diff_narrative,
         diff_table,
         load_doc,
+        write_text,
     )
 
     doc = diff_docs(load_doc(args.base), load_doc(args.new), tol_s=args.tol)
@@ -571,12 +554,18 @@ def cmd_explain(args) -> int:
     breakdown within 1e-9 s."""
     import json
 
-    from repro.obs import STEPS_SCHEMA, explain_lines, explain_table, load_doc
+    from repro.obs import (
+        STEPS_SCHEMA,
+        explain_lines,
+        explain_table,
+        load_doc,
+        write_text,
+    )
 
     if args.steplog:
         doc = load_doc(args.steplog, STEPS_SCHEMA)
     else:
-        from repro.eval import golden_steplog
+        from repro.eval.service_eval import golden_steplog
         doc = golden_steplog(
             seed=args.seed, batched=args.batched,
             prefill_priority=args.prefill_priority,
@@ -617,7 +606,10 @@ def _request_narrative(seed: int, batched: bool,
     (the causal half of ``explain``: wait attribution says how long the
     scheduler held the request, the critical path says which tasks then
     gated it)."""
-    from repro.eval import batched_golden_service, service_golden_records
+    from repro.eval.service_eval import (
+        batched_golden_service,
+        service_golden_records,
+    )
     from repro.obs import narrative_lines, request_critical_path
 
     service = (batched_golden_service(seed=seed) if batched
@@ -643,14 +635,14 @@ def cmd_critpath(args) -> int:
     import json
 
     from repro.errors import ReproError
-    from repro.obs import critpath_doc, narrative_lines
+    from repro.obs import critpath_doc, narrative_lines, write_text
 
     if args.request_id is not None and (args.fleet or args.prompt_tokens):
         raise ReproError(
             "request_id narrates a golden-workload request; it cannot be "
             "combined with --prompt-tokens or --fleet")
     if args.fleet:
-        from repro.eval import (
+        from repro.eval.fleet import (
             default_fleet,
             fleet_critpath_table,
             fleet_report,
@@ -674,7 +666,7 @@ def cmd_critpath(args) -> int:
         for line in narrative_lines(path, top=args.top):
             print(line)
     else:
-        from repro.eval import (
+        from repro.eval.whatif_eval import (
             critpath_request_table,
             critpath_stage_table,
             service_critical_paths,

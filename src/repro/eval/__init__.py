@@ -1,240 +1,7 @@
 """Experiment drivers regenerating every table and figure of the paper's
 evaluation section.  Each driver returns :class:`~repro.eval.report.Table`
-objects that render to text and archive under ``benchmarks/results/``."""
+objects that render to text and archive under ``benchmarks/results/``.
 
-from repro.eval.accuracy import (
-    ACCURACY_MODEL_CONFIG,
-    OUTLIER_STATS_CONFIG,
-    TABLE6_SCHEMES,
-    fig10_fig11_outlier_stats,
-    fig12_importance,
-    fig16_pruning_tradeoff,
-    table6_accuracy,
-)
-from repro.eval.ablation import (
-    ablation_chunk_length,
-    ablation_equivalent_shapes,
-    ablation_hot_channels,
-    dma_overlap,
-    ablation_scheduler,
-    future_hardware,
-    mixed_precision_npu,
-    short_prompt_crossover,
-    tri_processor,
-)
-from repro.eval.diff_eval import (
-    INJECTED_FACTOR,
-    INJECTED_TAG,
-    diff_attribution_table,
-    diff_demo,
-    diff_demo_narrative,
-    diff_summary_table,
-    explain_regression,
-    golden_scenarios,
-    golden_baseline_critpath_json,
-    golden_diff_json,
-    injected_slowdown_diff,
-    injected_slowdown_docs,
-)
-from repro.eval.energy_memory import fig15_energy, fig17_memory
-from repro.eval.fleet import (
-    BUDGET_DEVICE,
-    FLEET_SCHEMA,
-    FLEET_SLOS,
-    FleetDeviceSpec,
-    default_fleet,
-    fault_storm_monitor,
-    fleet_compliance_table,
-    fleet_critpath_table,
-    fleet_golden_json,
-    fleet_latency_table,
-    fleet_percentile_table,
-    fleet_report,
-    fleet_scheduler_table,
-    fleet_slo,
-    incident_table,
-    jittered_arrivals,
-    run_device,
-    run_step_probe,
-    seed_stream,
-)
-from repro.eval.latency import (
-    ABLATION_LADDER,
-    TABLE3_PAPER_MS,
-    TABLE3_SHAPES,
-    fig1_breakdown,
-    fig4_quant_npu,
-    fig8_chunk_length,
-    fig14_prefill_speed,
-    fig18_coordination,
-    fig19_ablation,
-    table3_matmul,
-    table5_e2e,
-)
-from repro.eval.report import Table, archive, results_dir
-from repro.eval.service_eval import (
-    BATCHING_BACKGROUND_WORKLOAD,
-    BATCHING_BATCH_TOKENS,
-    BATCHING_CONCURRENCY,
-    BATCHING_TTFT_SLO,
-    EXPERIMENT_TIERS,
-    batched_golden_service,
-    batching_arrivals,
-    service_batching,
-    service_batching_golden_snapshot,
-    service_breakdown,
-    service_engine_comparison,
-    service_fault_recovery,
-    service_golden_records,
-    service_golden_snapshot,
-    service_golden_trace,
-    service_load,
-    service_tier_comparison,
-    scheduler_occupancy,
-    golden_steplog,
-    golden_steplog_json,
-    two_tier_arrivals,
-)
-from repro.eval.profiling import (
-    energy_table,
-    golden_profile_json,
-    operator_table,
-    service_profile,
-    service_profile_report,
-)
-from repro.eval.whatif_eval import (
-    critpath_request_table,
-    critpath_stage_table,
-    dma_ablation,
-    golden_critpath_doc,
-    golden_critpath_json,
-    service_critical_paths,
-    service_critpath,
-    stage_crossover,
-)
-from repro.eval.simbench import (
-    OOO_SPEEDUP_FLOOR,
-    SIM_SPEEDUP_FLOOR,
-    SIM_SPEEDUP_FLOORS,
-    fleet_speed,
-    quant_speed,
-    sim_core_speed,
-    sim_floor_misses,
-    sim_speed_report,
-    synthetic_task_graph,
-)
-from repro.eval.summary import generate_report
-from repro.eval.validation import ANCHORS, Anchor, calibration_dashboard
-
-__all__ = [
-    "Table",
-    "archive",
-    "results_dir",
-    "table3_matmul",
-    "fig1_breakdown",
-    "fig4_quant_npu",
-    "fig8_chunk_length",
-    "fig14_prefill_speed",
-    "fig15_energy",
-    "fig17_memory",
-    "fig18_coordination",
-    "fig19_ablation",
-    "table5_e2e",
-    "table6_accuracy",
-    "fig16_pruning_tradeoff",
-    "fig10_fig11_outlier_stats",
-    "fig12_importance",
-    "ablation_chunk_length",
-    "ablation_scheduler",
-    "ablation_hot_channels",
-    "ablation_equivalent_shapes",
-    "future_hardware",
-    "dma_overlap",
-    "mixed_precision_npu",
-    "tri_processor",
-    "short_prompt_crossover",
-    "calibration_dashboard",
-    "service_load",
-    "service_engine_comparison",
-    "service_tier_comparison",
-    "service_fault_recovery",
-    "service_golden_records",
-    "service_golden_snapshot",
-    "service_golden_trace",
-    "service_breakdown",
-    "scheduler_occupancy",
-    "service_batching",
-    "service_batching_golden_snapshot",
-    "batched_golden_service",
-    "golden_steplog",
-    "golden_steplog_json",
-    "two_tier_arrivals",
-    "batching_arrivals",
-    "EXPERIMENT_TIERS",
-    "BATCHING_BACKGROUND_WORKLOAD",
-    "BATCHING_BATCH_TOKENS",
-    "BATCHING_CONCURRENCY",
-    "BATCHING_TTFT_SLO",
-    "FLEET_SCHEMA",
-    "FLEET_SLOS",
-    "BUDGET_DEVICE",
-    "FleetDeviceSpec",
-    "default_fleet",
-    "run_device",
-    "fleet_report",
-    "fleet_golden_json",
-    "fleet_percentile_table",
-    "fleet_latency_table",
-    "fleet_compliance_table",
-    "fleet_critpath_table",
-    "fleet_scheduler_table",
-    "incident_table",
-    "fleet_slo",
-    "run_step_probe",
-    "seed_stream",
-    "jittered_arrivals",
-    "SIM_SPEEDUP_FLOOR",
-    "OOO_SPEEDUP_FLOOR",
-    "SIM_SPEEDUP_FLOORS",
-    "sim_core_speed",
-    "quant_speed",
-    "fleet_speed",
-    "sim_speed_report",
-    "sim_floor_misses",
-    "synthetic_task_graph",
-    "fault_storm_monitor",
-    "service_profile",
-    "service_profile_report",
-    "golden_profile_json",
-    "operator_table",
-    "energy_table",
-    "service_critical_paths",
-    "service_critpath",
-    "golden_critpath_doc",
-    "golden_critpath_json",
-    "critpath_stage_table",
-    "critpath_request_table",
-    "dma_ablation",
-    "stage_crossover",
-    "INJECTED_TAG",
-    "INJECTED_FACTOR",
-    "injected_slowdown_docs",
-    "injected_slowdown_diff",
-    "golden_diff_json",
-    "golden_baseline_critpath_json",
-    "diff_attribution_table",
-    "diff_summary_table",
-    "diff_demo",
-    "diff_demo_narrative",
-    "golden_scenarios",
-    "explain_regression",
-    "generate_report",
-    "Anchor",
-    "ANCHORS",
-    "ACCURACY_MODEL_CONFIG",
-    "OUTLIER_STATS_CONFIG",
-    "TABLE6_SCHEMES",
-    "ABLATION_LADDER",
-    "TABLE3_SHAPES",
-    "TABLE3_PAPER_MS",
-]
+Import a driver from the submodule that defines it, such as
+``repro.eval.latency`` or ``repro.eval.fleet``; this package re-exports
+nothing, so loading one driver does not load the others."""

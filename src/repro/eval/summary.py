@@ -17,8 +17,8 @@ from repro.obs.export import write_text
 
 def _default_experiments() -> Dict[str, Callable]:
     # imported lazily to avoid import cycles with repro.cli
-    from repro.cli import EXPERIMENTS
-    return {name: fn for name, (_desc, fn) in EXPERIMENTS.items()}
+    from repro.cli import EXPERIMENTS, load_driver
+    return {name: load_driver(name) for name in EXPERIMENTS}
 
 
 def generate_report(

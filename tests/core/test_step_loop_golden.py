@@ -30,7 +30,7 @@ import hashlib
 import pytest
 
 from repro.core import BatchConfig, EngineConfig, LlmService, TierPolicy
-from repro.eval import (
+from repro.eval.service_eval import (
     EXPERIMENT_TIERS,
     batched_golden_service,
     batching_arrivals,

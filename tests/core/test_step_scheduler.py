@@ -35,7 +35,7 @@ from repro.core import (  # noqa: E402
     TierPolicy,
 )
 from repro.core.scheduler import plan_step  # noqa: E402
-from repro.eval import service_golden_records  # noqa: E402
+from repro.eval.service_eval import service_golden_records  # noqa: E402
 from repro.graph import chunk_token_lengths  # noqa: E402
 from repro.obs import SloMonitor, SloSpec, StepLogger  # noqa: E402
 

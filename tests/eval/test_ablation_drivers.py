@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval import (
+from repro.eval.ablation import (
     ablation_chunk_length,
     ablation_equivalent_shapes,
     ablation_hot_channels,
@@ -68,7 +68,7 @@ class TestFutureHardware:
 
 class TestTriProcessor:
     def test_third_processor_is_a_wash(self):
-        from repro.eval import tri_processor
+        from repro.eval.ablation import tri_processor
         table = tri_processor(pruning_rates=(0.85,), prompt_len=512)
         _, cpu_npu, gpu_npu, tri = table.rows[0]
         assert abs(tri - gpu_npu) / gpu_npu < 0.05

@@ -7,21 +7,22 @@ full-size regenerations live in ``benchmarks/``.
 import numpy as np
 import pytest
 
-from repro.eval import (
+from repro.eval.accuracy import (
+    fig10_fig11_outlier_stats,
+    fig12_importance,
+    fig16_pruning_tradeoff,
+    table6_accuracy,
+)
+from repro.eval.energy_memory import fig15_energy, fig17_memory
+from repro.eval.latency import (
     fig1_breakdown,
     fig4_quant_npu,
     fig8_chunk_length,
-    fig10_fig11_outlier_stats,
-    fig12_importance,
     fig14_prefill_speed,
-    fig15_energy,
-    fig16_pruning_tradeoff,
-    fig17_memory,
     fig18_coordination,
     fig19_ablation,
     table3_matmul,
     table5_e2e,
-    table6_accuracy,
 )
 
 

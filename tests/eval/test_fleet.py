@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.eval import (
+from repro.eval.fleet import (
     FLEET_SCHEMA,
     FLEET_SLOS,
     default_fleet,
@@ -13,10 +13,10 @@ from repro.eval import (
     fleet_golden_json,
     fleet_percentile_table,
     fleet_report,
+    _merge_payload_sketches,
     incident_table,
     run_device,
 )
-from repro.eval.fleet import _merge_payload_sketches
 from repro.obs import (
     QuantileSketch,
     SloMonitor,
@@ -220,7 +220,7 @@ class TestArrivalJitter:
     """
 
     def test_jitter_preserves_golden_workload(self):
-        from repro.eval import jittered_arrivals
+        from repro.eval.fleet import jittered_arrivals
         from repro.eval.service_eval import two_tier_arrivals
         golden = two_tier_arrivals(n_interactive=12, n_background=10,
                                    seed=42)
@@ -231,17 +231,17 @@ class TestArrivalJitter:
         assert [t for _, _, t in jittered] != [t for _, _, t in golden]
 
     def test_jitter_is_deterministic(self):
-        from repro.eval import jittered_arrivals
+        from repro.eval.fleet import jittered_arrivals
         assert jittered_arrivals(seed=7) == jittered_arrivals(seed=7)
 
     def test_jitter_decorrelates_seeds(self):
-        from repro.eval import jittered_arrivals
+        from repro.eval.fleet import jittered_arrivals
         a = [t for _, _, t in jittered_arrivals(seed=1)]
         b = [t for _, _, t in jittered_arrivals(seed=2)]
         assert a != b
 
     def test_arrivals_are_monotone_per_tier(self):
-        from repro.eval import jittered_arrivals
+        from repro.eval.fleet import jittered_arrivals
         stream = jittered_arrivals(seed=42)
         for tier in ("interactive", "background"):
             times = [t for tr, _, t in stream if tr == tier]
@@ -249,7 +249,7 @@ class TestArrivalJitter:
             assert all(t > 0 for t in times)
 
     def test_splitmix_fleet_gets_poisson_arrivals(self):
-        from repro.eval import jittered_arrivals
+        from repro.eval.fleet import jittered_arrivals
         spec = default_fleet(n_devices=1, seed=42)[0]
         service, _monitor = run_device(spec)
         stream = jittered_arrivals(n_interactive=spec.n_interactive,

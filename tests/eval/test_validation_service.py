@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.eval import (
-    ANCHORS,
-    Anchor,
-    calibration_dashboard,
-    service_engine_comparison,
-    service_load,
-)
+from repro.eval.service_eval import service_engine_comparison, service_load
+from repro.eval.validation import ANCHORS, Anchor, calibration_dashboard
 
 
 class TestAnchors:
@@ -59,7 +54,8 @@ class TestServiceDrivers:
 class TestReportGeneration:
     def test_subset_report(self, tmp_path):
         import os
-        from repro.eval import generate_report, table3_matmul
+        from repro.eval.latency import table3_matmul
+        from repro.eval.summary import generate_report
         path = os.path.join(tmp_path, "r.md")
         out = generate_report(path=path,
                               experiments={"table3": table3_matmul})
@@ -70,7 +66,8 @@ class TestReportGeneration:
 
     def test_skip_list(self, tmp_path):
         import os
-        from repro.eval import generate_report, table3_matmul
+        from repro.eval.latency import table3_matmul
+        from repro.eval.summary import generate_report
         path = os.path.join(tmp_path, "r.md")
         generate_report(path=path,
                         experiments={"table3": table3_matmul},
@@ -79,7 +76,8 @@ class TestReportGeneration:
 
     def test_tuple_results_render(self, tmp_path):
         import os
-        from repro.eval import fig12_importance, generate_report
+        from repro.eval.accuracy import fig12_importance
+        from repro.eval.summary import generate_report
         path = os.path.join(tmp_path, "r.md")
         generate_report(
             path=path,

@@ -12,13 +12,11 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.eval import (
+from repro.eval.fleet import default_fleet, fleet_critpath_table, fleet_report
+from repro.eval.whatif_eval import (
     critpath_request_table,
     critpath_stage_table,
-    default_fleet,
     dma_ablation,
-    fleet_critpath_table,
-    fleet_report,
     golden_critpath_doc,
     golden_critpath_json,
     service_critical_paths,

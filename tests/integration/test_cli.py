@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import EXPERIMENTS, build_parser, load_driver, main
 
 
 class TestParser:
@@ -59,9 +59,33 @@ class TestExperimentRegistry:
         assert len(paper) == 14
 
     def test_descriptions_nonempty(self):
-        for name, (desc, fn) in EXPERIMENTS.items():
+        for name, (desc, _driver) in EXPERIMENTS.items():
             assert desc
-            assert callable(fn)
+            assert callable(load_driver(name))
+
+    def test_drivers_load_only_when_run(self):
+        # Fresh interpreters: the CLI table imports no driver module,
+        # and one driver module does not pull in the unrelated ones.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        probe = ("import sys, {module}; print(sorted(m for m in {names} "
+                 "if m in sys.modules))")
+        for module, names in (
+                ("repro.cli", ["repro.eval.accuracy", "repro.eval.latency",
+                               "repro.eval.ablation",
+                               "repro.eval.simbench"]),
+                ("repro.eval.fleet", ["repro.eval.accuracy"])):
+            out = subprocess.run(
+                [sys.executable, "-c",
+                 probe.format(module=module, names=names)],
+                capture_output=True, text=True, check=True,
+                env=env).stdout
+            assert out.strip() == "[]", (module, out)
 
 
 class TestQuantizeCommand:
@@ -156,7 +180,7 @@ class TestFleetCommands:
         assert "Fleet percentiles" in out
         assert "dev02-budget" in out
         import json
-        from repro.eval import FLEET_SCHEMA
+        from repro.eval.fleet import FLEET_SCHEMA
         from repro.obs import validate_timeline_doc
         report = json.loads(report_path.read_text())
         assert report["schema"] == FLEET_SCHEMA

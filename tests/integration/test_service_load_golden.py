@@ -11,7 +11,10 @@ deliberate, and must update the goldens alongside the code.
 
 import pytest
 
-from repro.eval import service_golden_records, service_golden_snapshot
+from repro.eval.service_eval import (
+    service_golden_records,
+    service_golden_snapshot,
+)
 
 GOLDEN_SEED = 42
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import EngineError
-from repro.eval import service_golden_records
+from repro.eval.service_eval import service_golden_records
 from repro.obs import (
     SUM_TOL_S,
     breakdown_request,

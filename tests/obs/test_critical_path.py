@@ -15,7 +15,10 @@ import pytest
 from repro.core import LlmNpuEngine
 from repro.core.pipeline import clear_prepared_graphs
 from repro.core.service import ServedRequest
-from repro.eval import batched_golden_service, service_golden_records
+from repro.eval.service_eval import (
+    batched_golden_service,
+    service_golden_records,
+)
 from repro.eval.diff_eval import golden_baseline_critpath_json
 from repro.eval.report import results_dir
 from repro.eval.whatif_eval import golden_critpath_json

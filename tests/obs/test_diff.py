@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.eval import (
+from repro.eval.diff_eval import (
     INJECTED_TAG,
     diff_attribution_table,
     diff_summary_table,

@@ -23,7 +23,10 @@ from repro.core import (  # noqa: E402
     LlmService,
     TierPolicy,
 )
-from repro.eval import batched_golden_service, golden_steplog  # noqa: E402
+from repro.eval.service_eval import (  # noqa: E402
+    batched_golden_service,
+    golden_steplog,
+)
 from repro.obs import (  # noqa: E402
     STALL_CAUSES,
     StepLogError,

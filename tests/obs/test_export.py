@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import SchedulingError
-from repro.eval import service_golden_records
+from repro.eval.service_eval import service_golden_records
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -282,7 +282,7 @@ class TestGzipTransparency:
         assert payloads[0] == payloads[1]
 
     def test_steplog_save_load_gzip(self, tmp_path):
-        from repro.eval import golden_steplog
+        from repro.eval.service_eval import golden_steplog
         from repro.obs import load_doc
         steplog = golden_steplog(seed=42, batched=True)
         plain = tmp_path / "steps.json"

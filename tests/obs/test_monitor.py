@@ -169,7 +169,7 @@ class TestBurnRateStateMachine:
 
 class TestObservationHooks:
     def test_attach_consumes_service_stream(self):
-        from repro.eval import service_golden_records
+        from repro.eval.service_eval import service_golden_records
         monitor = SloMonitor([AVAIL])
         service = service_golden_records(monitor=monitor)
         assert monitor.n_events == len(service.requests)

@@ -8,7 +8,10 @@ never folded into it, and fault draws are consumed identically.
 
 import pytest
 
-from repro.eval import service_golden_records, service_golden_snapshot
+from repro.eval.service_eval import (
+    service_golden_records,
+    service_golden_snapshot,
+)
 from repro.eval.fleet import FLEET_SLOS, fault_storm_monitor
 from repro.obs import MetricsRegistry, SloMonitor, Tracer
 

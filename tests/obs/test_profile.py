@@ -313,7 +313,7 @@ class TestProfileInference:
 class TestServiceProfile:
     @pytest.fixture(scope="class")
     def golden(self):
-        from repro.eval import service_profile_report
+        from repro.eval.profiling import service_profile_report
         return service_profile_report(seed=42)
 
     def test_conservation_over_golden_workload(self, golden):
@@ -339,7 +339,7 @@ class TestServiceProfile:
         assert any(r["kind"] == "histogram" for r in report.metrics)
 
     def test_operator_and_energy_tables_render(self, golden):
-        from repro.eval import energy_table, operator_table
+        from repro.eval.profiling import energy_table, operator_table
         report, _service = golden
         assert "sync" in operator_table(report).render()
         assert "platform" in energy_table(report).render()

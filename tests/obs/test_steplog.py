@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.eval import (
+from repro.eval.service_eval import (
     golden_steplog,
     golden_steplog_json,
     service_golden_snapshot,
@@ -169,7 +169,7 @@ class TestValidation:
             as_steps_doc(42)
 
     def test_as_steps_doc_accepts_live_service(self):
-        from repro.eval import batched_golden_service
+        from repro.eval.service_eval import batched_golden_service
         svc = batched_golden_service(seed=42)
         doc = as_steps_doc(svc)
         validate_steps_doc(doc)
@@ -224,7 +224,7 @@ class TestDerivedDetectors:
         # squeeze the golden batched stream through concurrency 2: the
         # backlog queues requests for dozens of consecutive steps and
         # the detector must surface them
-        from repro.eval import batched_golden_service
+        from repro.eval.service_eval import batched_golden_service
         logger = StepLogger()
         batched_golden_service(seed=42, max_concurrency=2,
                                steplog=logger)

@@ -41,13 +41,14 @@ from repro.obs.validate import VALIDATORS  # noqa: E402
 @functools.lru_cache(maxsize=None)
 def _artifacts():
     """name -> a valid document of that format (built once)."""
-    from repro.eval import (
-        fault_storm_monitor,
-        fleet_golden_json,
-        golden_profile_json,
-        golden_steplog_json,
+    from repro.eval.diff_eval import (
         injected_slowdown_docs,
         injected_slowdown_diff,
+    )
+    from repro.eval.fleet import fault_storm_monitor, fleet_golden_json
+    from repro.eval.profiling import golden_profile_json
+    from repro.eval.service_eval import (
+        golden_steplog_json,
         service_golden_records,
     )
     from repro.eval.report import Table
